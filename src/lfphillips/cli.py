@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -47,18 +48,23 @@ def _parse_range(text: str) -> range:
 def _spec_from_args(args) -> estimate.LinkSpec:
     if args.spec:
         doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        predictors = tuple(
-            estimate.Predictor(p["name"], int(p.get("lag", 0))) for p in doc["predictors"]
-        )
-        window = tuple(doc["window"]) if doc.get("window") else None
-        spec = estimate.LinkSpec(
-            response=doc["response"],
-            predictors=predictors,
-            estimator=doc.get("estimator", "ols"),
-            break_year=doc.get("break_year"),
-            shared=tuple(doc.get("shared", ())),
-            window=window,
-        )
+        try:
+            predictors = tuple(
+                estimate.Predictor(p["name"], int(p.get("lag", 0))) for p in doc["predictors"]
+            )
+            window = tuple(doc["window"]) if doc.get("window") else None
+            spec = estimate.LinkSpec(
+                response=doc["response"],
+                predictors=predictors,
+                estimator=doc.get("estimator", "ols"),
+                break_year=doc.get("break_year"),
+                shared=tuple(doc.get("shared", ())),
+                window=window,
+            )
+        except KeyError as exc:
+            raise InputError(f"spec {args.spec}: missing key {exc}") from exc
+        except (AttributeError, TypeError) as exc:
+            raise InputError(f"spec {args.spec}: malformed ({exc})") from exc
     else:
         if not args.response or not args.predictor:
             raise UsageError("give --spec FILE, or --response with at least one --predictor")
@@ -74,14 +80,7 @@ def _spec_from_args(args) -> estimate.LinkSpec:
             shared=tuple(args.share or ()),
         )
     if args.window:
-        spec = estimate.LinkSpec(
-            response=spec.response,
-            predictors=spec.predictors,
-            estimator=spec.estimator,
-            break_year=spec.break_year,
-            shared=spec.shared,
-            window=_parse_window(args.window),
-        )
+        spec = replace(spec, window=_parse_window(args.window))
     return spec
 
 
@@ -246,8 +245,7 @@ def cmd_plot(args) -> int:
     regression = None
     if args.mode == "scatter" and args.regression:
         xs, ys, _ = align(chosen[0], chosen[1])
-        X = np.column_stack([np.ones(len(xs)), xs])
-        beta, *_ = np.linalg.lstsq(X, np.asarray(ys), rcond=None)
+        beta, _, _ = diag.least_squares(np.column_stack([np.ones(len(xs)), xs]), ys)
         regression = (float(beta[0]), float(beta[1]))
     doc = svg.line_chart(chosen, style=style, scatter=args.mode == "scatter",
                          regression=regression)
@@ -287,8 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="out", help="output directory (default: out)")
     parser.add_argument("--format", help="comma-separated output formats: csv,json,svg")
     parser.add_argument("--window", help="restrict to years Y1:Y2")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for any synthetic generation")
     parser.add_argument("--cache-dir", help="override the remote-fetch cache directory")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -5,6 +5,10 @@ regularized incomplete beta so that the extreme p-values (~1e-10) that show
 up on strong fits come out without overflow. The unit-root test is an
 augmented Dickey-Fuller regression with a constant and no trend, judged
 against the published constant-only critical-value table.
+
+Every regression in the package (both estimators, the ADF regression and the
+chart overlay) is solved by ``least_squares``: one QR factorization whose R
+factor also gives the rank test and the coefficient covariance.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import DomainError, EstimationError, InputError
 from .series import AnnualSeries
 
 _BETACF_TOL = 1e-10
@@ -51,6 +55,27 @@ def residual_sigma(residuals: AnnualSeries) -> float:
 def residual_sigma_values(residuals: np.ndarray) -> float:
     residuals = np.asarray(residuals, dtype=float)
     return float(np.sqrt(np.mean((residuals - residuals.mean()) ** 2)))
+
+
+def least_squares(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minimize ||X beta - y|| by one QR factorization X = QR.
+
+    Returns ``(beta, residuals, R^-1)``; ``R^-1 R^-T = (X'X)^-1``, so the
+    classical covariance is ``s^2 R^-1 R^-T`` with no second factorization.
+    Raises EstimationError when X has fewer rows than columns or R is
+    numerically singular: min|diag R| <= max(n, k) * eps * max|diag R|, numpy's
+    default rank tolerance.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, k = X.shape
+    q, r = np.linalg.qr(X)
+    diag = np.abs(np.diag(r))
+    if n < k or diag.min() <= max(n, k) * np.finfo(float).eps * diag.max():
+        raise EstimationError("degenerate design: zero-variance or collinear predictors")
+    r_inv = np.linalg.inv(r)
+    beta = r_inv @ (q.T @ y)
+    return beta, y - X @ beta, r_inv
 
 
 def t_pvalue(t: float, dof: int) -> float:
@@ -179,17 +204,14 @@ def adf_test(series: AnnualSeries, lag_order: int = 0) -> AdfResult:
     for k in range(1, lag_order + 1):
         cols.append(ds[lag_order - k : len(ds) - k])
     X = np.column_stack(cols)
-    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
-    resid = y - X @ beta
     dof = n - X.shape[1]
     if dof <= 0:
         raise InputError("not enough observations for the ADF regression")
-    s2 = float(resid @ resid) / dof
     try:
-        cov = s2 * np.linalg.inv(X.T @ X)
-    except np.linalg.LinAlgError as exc:
+        beta, resid, r_inv = least_squares(X, y)
+    except EstimationError as exc:
         raise DomainError("degenerate ADF regression") from exc
-    se = math.sqrt(cov[1, 1])
+    se = math.sqrt(float(resid @ resid) / dof) * float(np.linalg.norm(r_inv[1]))
     if se == 0.0:
         raise DomainError("degenerate ADF regression")
     stat = float(beta[1]) / se

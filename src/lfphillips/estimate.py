@@ -17,12 +17,13 @@ intercept or slope arise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .diagnose import r_squared_values, residual_sigma_values, t_pvalue
+from .diagnose import least_squares, r_squared_values, residual_sigma_values, t_pvalue
 from .errors import DomainError, EstimationError, InputError
 from .series import AnnualSeries, shift
 
@@ -189,88 +190,20 @@ def _design(spec: LinkSpec, cols: Mapping[str, np.ndarray], years: np.ndarray):
             X[:, j] = np.where(post, base, 0.0)
         else:
             X[:, j] = base
-    return X, labels, post
+    return X, labels
 
 
-def _check_design(X: np.ndarray) -> None:
-    n, k = X.shape
-    if n < k + 2:
-        raise InputError(f"sample of {n} too small for {k} coefficients")
-    if np.linalg.matrix_rank(X) < k:
-        raise EstimationError("degenerate design: zero-variance or collinear predictors")
-
-
-def _solve_unconstrained(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
-    return beta
-
-
-def _solve_constrained(X: np.ndarray, y: np.ndarray, c: np.ndarray, d: float):
-    """min ||Xz - y|| subject to c.z = d, via null-space elimination.
-
-    Returns the solution and the null-space basis (needed for covariance).
-    """
-    c = c.reshape(-1)
-    norm2 = float(c @ c)
-    if norm2 == 0.0:
-        raise EstimationError("degenerate constraint")
-    z0 = c * (d / norm2)
-    # orthonormal basis of the constraint null space
-    _, _, vt = np.linalg.svd(c.reshape(1, -1))
-    nullspace = vt[1:].T
-    M = X @ nullspace
-    w, *_ = np.linalg.lstsq(M, y - X @ z0, rcond=None)
-    return z0 + nullspace @ w, nullspace
-
-
-def _classical_errors(X: np.ndarray, resid: np.ndarray, transform: np.ndarray | None):
-    """Homoskedastic standard errors; ``transform`` maps free params to full."""
-    n = X.shape[0]
-    if transform is None:
-        M = X
-    else:
-        M = X @ transform
-    k = M.shape[1]
-    dof = n - k
-    if dof <= 0:
-        return None, dof
-    s2 = float(resid @ resid) / dof
-    try:
-        cov_free = s2 * np.linalg.inv(M.T @ M)
-    except np.linalg.LinAlgError:
-        return None, dof
-    if transform is None:
-        return cov_free, dof
-    return transform @ cov_free @ transform.T, dof
-
-
-def _build_result(spec, beta, labels, X, yv, years, post, transform) -> FitResult:
+def _build_result(spec, data, beta, stderr, dof, labels, X, yv, years) -> FitResult:
     pred = X @ beta
     resid = yv - pred
     c_obs = np.cumsum(yv)
     c_pred = np.cumsum(pred)
     first, last = int(years[0]), int(years[-1])
 
-    cov, dof = _classical_errors(
-        np.cumsum(X, axis=0) if spec.estimator == "cumulative" else X,
-        (c_obs - c_pred) if spec.estimator == "cumulative" else resid,
-        transform,
-    )
-    stderr: dict[str, float] = {}
-    pvalues: dict[str, float] = {}
-    for j, (label, _, _) in enumerate(labels):
-        if cov is None:
-            stderr[label] = float("nan")
-            pvalues[label] = float("nan")
-            continue
-        se = float(np.sqrt(max(cov[j, j], 0.0)))
-        stderr[label] = se
-        if se > 0 and dof >= 1:
-            pvalues[label] = t_pvalue(float(beta[j]) / se, dof)
-        else:
-            pvalues[label] = float("nan")
-
-    coeff = {label: float(b) for (label, _, _), b in zip(labels, beta)}
+    names = [label for label, _, _ in labels]
+    pvalues = {label: t_pvalue(float(b) / se, dof) if se > 0 else float("nan")
+               for label, b, se in zip(names, beta, stderr)}
+    coeff = {label: float(b) for label, b in zip(names, beta)}
     segments = _segments_from_coefficients(spec, coeff, first, last)
 
     var_y = float(np.var(yv))
@@ -281,22 +214,17 @@ def _build_result(spec, beta, labels, X, yv, years, post, transform) -> FitResul
     return FitResult(
         spec=spec,
         segments=segments,
-        stderr=stderr,
+        stderr={label: float(se) for label, se in zip(names, stderr)},
         pvalues=pvalues,
         r2_annual=r2_annual,
         r2_cumulative=r2_cum,
         residuals=AnnualSeries(first, tuple(resid), label="residuals",
-                               units=_response_units(spec)),
+                               units=data[spec.response].units),
         sigma=residual_sigma_values(resid),
         window=(first, last),
         sse_annual=float(resid @ resid),
         sse_cumulative=float((c_obs - c_pred) @ (c_obs - c_pred)),
     )
-
-
-def _response_units(spec: LinkSpec) -> str:
-    # residuals carry rate units; unemployment responses are plain fractions
-    return "fraction"
 
 
 def _segments_from_coefficients(spec, coeff, first, last):
@@ -326,19 +254,25 @@ def _fit(spec: LinkSpec, data: Mapping[str, AnnualSeries]) -> FitResult:
     for name, col in cols.items():
         if float(np.var(col)) == 0.0:
             raise EstimationError(f"predictor {name!r} has zero variance on the window")
-    X, labels, post = _design(spec, cols, years)
-    _check_design(X)
+    X, labels = _design(spec, cols, years)
+    n, k = X.shape
+    if n < k + 2:
+        raise InputError(f"sample of {n} too small for {k} coefficients")
     if spec.estimator == "cumulative":
-        L = np.tri(len(yv))
-        A = L @ X
-        b = L @ yv
-        c = A[-1]
-        beta, nullspace = _solve_constrained(A, b, c, float(b[-1]))
-        transform = nullspace
+        A, b = np.cumsum(X, axis=0), np.cumsum(yv)
+        # Eliminate the endpoint constraint c.z = d (c, d: last cumulated row):
+        # z = z0 + N w, with N the trailing columns of the complete QR of c.
+        # c never vanishes, because its intercept entries count observations.
+        q, r = np.linalg.qr(A[-1:].T, mode="complete")
+        z0, nullspace = q[:, 0] * (b[-1] / r[0, 0]), q[:, 1:]
+        w, resid, r_inv = least_squares(A @ nullspace, b - A @ z0)
+        beta, r_inv = z0 + nullspace @ w, nullspace @ r_inv
     else:
-        beta = _solve_unconstrained(X, yv)
-        transform = None
-    return _build_result(spec, beta, labels, X, yv, years, post, transform)
+        beta, resid, r_inv = least_squares(X, yv)
+    # classical errors: cov = s^2 (N R^-1)(N R^-1)', with N = I for OLS
+    dof = n - r_inv.shape[1]
+    stderr = np.sqrt(float(resid @ resid) / dof) * np.linalg.norm(r_inv, axis=1)
+    return _build_result(spec, data, beta, stderr, dof, labels, X, yv, years)
 
 
 def ols_fit(spec: LinkSpec, data: Mapping[str, AnnualSeries]) -> FitResult:
@@ -393,8 +327,9 @@ def scan_lag(
     """Exhaustive fit over integer lags of one predictor.
 
     Best lag maximizes the selection criterion (annual R^2 for OLS fits,
-    cumulative R^2 for cumulative fits, unless overridden); exact ties go to
-    the smallest |lag|, then the negative one.
+    cumulative R^2 for cumulative fits, unless overridden). A NaN criterion
+    never beats a real one; exact ties, all-NaN included, go to the smallest
+    |lag|, then the negative one.
     """
     name = predictor or spec.predictors[0].name
     if criterion is None:
@@ -407,8 +342,14 @@ def scan_lag(
             continue
     if not results:
         raise InputError("no lag in the range yields a legal sample")
-    best = max(results, key=lambda item: (getattr(item[1], criterion), -abs(item[0]), -item[0]))
+    best = max(results, key=lambda item: (_rank_value(getattr(item[1], criterion)),
+                                          -abs(item[0]), -item[0]))
     return results, best[0]
+
+
+def _rank_value(criterion: float) -> float:
+    """NaN criteria (zero-variance response) rank below every real value."""
+    return -math.inf if math.isnan(criterion) else criterion
 
 
 def scan_break(
@@ -459,7 +400,7 @@ def predict(
             row[p.name] = s.value(want)
         values.append(fitres.segment_for(t).evaluate(row))
     return AnnualSeries(years[0], tuple(values), label=f"predicted {spec.response}",
-                        units=_response_units(spec))
+                        units=fitres.residuals.units)
 
 
 def original_phillips(u_percent: float) -> float:

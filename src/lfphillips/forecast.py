@@ -255,6 +255,8 @@ def load_scenario(path) -> Scenario:
         doc = json.loads(p.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read scenario {p}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"scenario {p}: expected an object with a 'horizon' key")
     horizon = doc.get("horizon")
     if not (isinstance(horizon, list) and len(horizon) == 2):
         raise InputError("scenario needs a two-element 'horizon'")

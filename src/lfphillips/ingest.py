@@ -193,11 +193,13 @@ def load_manifest(path) -> DatasetManifest:
         doc = json.loads(p.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read manifest {p}: {exc}") from exc
-    series = doc.get("series")
+    series = doc.get("series") if isinstance(doc, dict) else None
     if not isinstance(series, dict) or not series:
         raise InputError(f"manifest {p} has no 'series' table")
     entries: dict[str, ManifestEntry] = {}
     for name, raw in series.items():
+        if not isinstance(raw, dict):
+            raise InputError(f"series {name!r}: entry must be an object, got {raw!r}")
         kind = raw.get("kind")
         units = raw.get("units")
         if kind not in KINDS:

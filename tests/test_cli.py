@@ -122,6 +122,36 @@ class TestDiagnose:
         assert "0.05" in doc["adf"]["rejects_unit_root"]
 
 
+class TestMalformedJson:
+    """Structurally wrong JSON inputs end in exit 1 naming the culprit."""
+
+    def test_spec_without_predictors(self, line_fixture, tmp_path, capsys):
+        spath = tmp_path / "spec.json"
+        spath.write_text(json.dumps({"response": "y"}))
+        assert run("--manifest", str(line_fixture), "--out", str(tmp_path / "o"),
+                   "fit", "--spec", str(spath)) == 1
+        err = capsys.readouterr().err
+        assert "predictors" in err
+        assert "Traceback" not in err
+
+    def test_scenario_that_is_a_list(self, tmp_path, capsys):
+        spath = tmp_path / "s.json"
+        spath.write_text("[1, 2]")
+        assert run("--out", str(tmp_path / "o"), "forecast", "--scenario", str(spath)) == 1
+        err = capsys.readouterr().err
+        assert "horizon" in err
+        assert "Traceback" not in err
+
+    def test_manifest_entry_that_is_a_number(self, tmp_path, capsys):
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps({"series": {"u": 5}}))
+        assert run("--manifest", str(mpath), "--out", str(tmp_path / "o"),
+                   "fit", "--response", "u", "--predictor", "u") == 1
+        err = capsys.readouterr().err
+        assert "'u'" in err
+        assert "Traceback" not in err
+
+
 class TestForecast:
     def test_zero_growth_flat_at_intercepts(self, tmp_path):
         scenario = {"horizon": [2011, 2030],

@@ -8,11 +8,13 @@ from scipy import stats
 from lfphillips.diagnose import (
     adf_test,
     df_critical_values,
+    least_squares,
     r_squared,
     residual_sigma,
     t_pvalue,
 )
-from lfphillips.errors import DomainError, InputError
+from lfphillips.errors import DomainError, EstimationError, InputError
+from lfphillips.oracle import SynthSpec, brute_force_ols, generate
 from lfphillips.series import AnnualSeries
 
 
@@ -59,6 +61,46 @@ class TestResidualSigma:
     def test_too_short(self):
         with pytest.raises(InputError):
             residual_sigma(frac([0.01]))
+
+
+def _seeded_design(broken: bool, seed: int):
+    """Intercept-and-slope design, split into pre/post columns when broken."""
+    x, y = generate(SynthSpec(intercept=0.01, slope=-0.8, noise_sigma=0.002, seed=seed,
+                              break_year=2000 if broken else None,
+                              post_intercept=0.02 if broken else None,
+                              post_slope=0.4 if broken else None))
+    xs, ys = np.asarray(x.values), np.asarray(y.values)
+    base = np.column_stack([np.ones(len(xs)), xs])
+    if not broken:
+        return base, ys
+    post = (np.arange(len(xs)) + x.start_year >= 2000)[:, None]
+    return np.hstack([np.where(post, 0.0, base), np.where(post, base, 0.0)]), ys
+
+
+class TestLeastSquares:
+    @pytest.mark.parametrize("broken", [False, True])
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_matches_normal_equations_oracle(self, broken, seed):
+        X, y = _seeded_design(broken, seed)
+        assert X.shape[1] == (4 if broken else 2)
+        beta, resid, _ = least_squares(X, y)
+        np.testing.assert_allclose(beta, brute_force_ols(X, y), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(resid, y - X @ beta, rtol=0, atol=1e-15)
+
+    def test_collinear_design_raises(self):
+        X, y = _seeded_design(False, 0)
+        with pytest.raises(EstimationError):
+            least_squares(np.column_stack([X, 3.0 * X[:, 1]]), y)
+
+    def test_fewer_rows_than_columns_raises(self):
+        with pytest.raises(EstimationError):
+            least_squares(np.eye(2, 3), np.ones(2))
+
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_r_inverse_gives_normal_matrix_inverse(self, broken):
+        X, y = _seeded_design(broken, 3)
+        _, _, r_inv = least_squares(X, y)
+        np.testing.assert_allclose(r_inv @ r_inv.T, np.linalg.inv(X.T @ X), rtol=1e-9)
 
 
 class TestTPvalue:

@@ -225,6 +225,21 @@ class TestScanLag:
         with pytest.raises(InputError):
             scan_lag(single_spec(), {"x": x, "y": y}, [500])
 
+    def test_nan_criterion_never_wins(self):
+        x, _ = generate(SynthSpec(intercept=0.0, slope=1.0, length=40, seed=3))
+        # y varies only in its first year, so every lag >= 1 leaves a constant
+        # response on the window and a NaN R^2
+        y = series([0.5] + [0.0] * 39, start=x.start_year)
+        forward, best_fwd = scan_lag(single_spec(), {"x": x, "y": y}, range(-5, 6))
+        _, best_rev = scan_lag(single_spec(), {"x": x, "y": y}, range(5, -6, -1))
+        assert np.isnan(dict(forward)[3].r2_annual)
+        assert best_fwd == best_rev
+        assert best_fwd <= 0
+        # all candidates NaN: the tie rule picks the smallest |lag|
+        flat = {"x": x, "y": series([0.0] * 40, start=x.start_year)}
+        assert scan_lag(single_spec(), flat, range(-5, 6))[1] == 0
+        assert scan_lag(single_spec(), flat, range(5, -6, -1))[1] == 0
+
 
 class TestScanBreak:
     def test_finds_injected_break(self):

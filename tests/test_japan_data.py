@@ -9,7 +9,7 @@ which is why every assertion here is a band, not an exact number.
 
 import pytest
 
-from lfphillips.estimate import LinkSpec, Predictor, fit, scan_break, scan_lag
+from lfphillips.estimate import LinkSpec, Predictor, fit, predict, scan_break, scan_lag
 
 POST_BREAK = (1982, 2012)
 
@@ -91,3 +91,16 @@ class TestUnemploymentOnGrowthPiecewise:
         assert post.intercept == pytest.approx(0.0432, abs=0.003)
         assert post.slopes["labor_force_growth"] == pytest.approx(-1.556, abs=0.30)
         assert r.r2_cumulative > 0.99
+
+
+class TestResidualUnits:
+    def test_inflation_residuals_carry_response_units(self, japan):
+        spec = LinkSpec("cpi", (Predictor("labor_force_growth"),), estimator="cumulative")
+        r = fit(spec, japan)
+        assert japan["cpi"].units == "fraction-per-year"
+        assert r.residuals.units == "fraction-per-year"
+        assert predict(r, japan, range(1990, 2000)).units == "fraction-per-year"
+
+    def test_unemployment_residuals_stay_fractions(self, japan):
+        r = fit(LinkSpec("unemployment", (Predictor("labor_force_growth"),)), japan)
+        assert r.residuals.units == japan["unemployment"].units == "fraction"
