@@ -6,9 +6,10 @@ up on strong fits come out without overflow. The unit-root test is an
 augmented Dickey-Fuller regression with a constant and no trend, judged
 against the published constant-only critical-value table.
 
-Every regression in the package (both estimators, the ADF regression and the
-chart overlay) is solved by ``least_squares``: one QR factorization whose R
-factor also gives the rank test and the coefficient covariance.
+Every regression in the package (both estimators, the break-year scan, the
+ADF regression and the chart overlay) is solved by ``least_squares_stack``:
+one batched QR factorization whose R factors also give the rank test and the
+coefficient covariance. A single regression is the stack of one.
 """
 
 from __future__ import annotations
@@ -38,9 +39,10 @@ def r_squared(observed: AnnualSeries, predicted: AnnualSeries) -> float:
 def r_squared_values(observed: np.ndarray, predicted: np.ndarray) -> float:
     observed = np.asarray(observed, dtype=float)
     predicted = np.asarray(predicted, dtype=float)
-    sst = float(np.sum((observed - observed.mean()) ** 2))
-    if sst == 0.0:
+    # exact constancy: round-off leaves a constant like 0.01 a tiny nonzero SST
+    if np.ptp(observed) == 0.0:
         raise DomainError("observed series has zero variance")
+    sst = float(np.sum((observed - observed.mean()) ** 2))
     sse = float(np.sum((observed - predicted) ** 2))
     return 1.0 - sse / sst
 
@@ -57,25 +59,49 @@ def residual_sigma_values(residuals: np.ndarray) -> float:
     return float(np.sqrt(np.mean((residuals - residuals.mean()) ** 2)))
 
 
-def least_squares(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Minimize ||X beta - y|| by one QR factorization X = QR.
+def least_squares_stack(
+    X: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Minimize ||X_i beta_i - y_i|| for every slice of an (m, n, k) stack X.
 
-    Returns ``(beta, residuals, R^-1)``; ``R^-1 R^-T = (X'X)^-1``, so the
-    classical covariance is ``s^2 R^-1 R^-T`` with no second factorization.
-    Raises EstimationError when X has fewer rows than columns or R is
-    numerically singular: min|diag R| <= max(n, k) * eps * max|diag R|, numpy's
-    default rank tolerance.
+    One batched QR factorization X_i = Q_i R_i solves all slices. ``y`` is
+    (m, n), or (n,) when every slice shares it. Returns ``(beta, residuals,
+    R^-1, full_rank)`` of shapes (m, k), (m, n), (m, k, k) and (m,);
+    ``R^-1 R^-T = (X'X)^-1``, so the classical covariance is ``s^2 R^-1 R^-T``
+    with no second factorization. A slice is rank deficient when
+    min|diag R| <= max(n, k) * eps * max|diag R|, numpy's default rank
+    tolerance; its outputs are meaningless. Raises EstimationError when the
+    slices have fewer rows than columns.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    n, k = X.shape
-    q, r = np.linalg.qr(X)
-    diag = np.abs(np.diag(r))
-    if n < k or diag.min() <= max(n, k) * np.finfo(float).eps * diag.max():
+    n, k = X.shape[-2:]
+    if n < k:
         raise EstimationError("degenerate design: zero-variance or collinear predictors")
-    r_inv = np.linalg.inv(r)
-    beta = r_inv @ (q.T @ y)
-    return beta, y - X @ beta, r_inv
+    q, r = np.linalg.qr(X)
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    full_rank = diag.min(axis=-1) > max(n, k) * np.finfo(float).eps * diag.max(axis=-1)
+    # rank-deficient slices invert I instead, so one singular R cannot fail the stack
+    r_inv = np.linalg.inv(np.where(full_rank[:, None, None], r, np.eye(k)))
+    beta = matvec(r_inv, matvec(np.swapaxes(q, -1, -2), y))
+    return beta, y - matvec(X, beta), r_inv, full_rank
+
+
+def least_squares(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``least_squares_stack`` on the stack of one design X (n, k).
+
+    Returns ``(beta, residuals, R^-1)`` and raises EstimationError when X has
+    fewer rows than columns or is rank deficient.
+    """
+    beta, resid, r_inv, full_rank = least_squares_stack(np.asarray(X, dtype=float)[None], y)
+    if not full_rank[0]:
+        raise EstimationError("degenerate design: zero-variance or collinear predictors")
+    return beta[0], resid[0], r_inv[0]
+
+
+def matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Products A_i v_i over stacks: (..., a, b) with (..., b) gives (..., a)."""
+    return (A @ v[..., None])[..., 0]
 
 
 def t_pvalue(t: float, dof: int) -> float:
@@ -194,7 +220,7 @@ def adf_test(series: AnnualSeries, lag_order: int = 0) -> AdfResult:
     s = np.asarray(series.values, dtype=float)
     if len(s) < lag_order + 10:
         raise InputError(f"series of {len(s)} too short for lag order {lag_order}")
-    if float(np.var(s)) == 0.0:
+    if np.ptp(s) == 0.0:
         raise DomainError("constant series has no unit-root regression")
     ds = np.diff(s)
     # rows are t = lag_order+1 .. len(ds)-1 in difference indexing

@@ -1,6 +1,6 @@
 """Lagged linear links between inflation, unemployment, and labor-force growth.
 
-Two estimators share one design-matrix builder:
+Two estimators share one design builder and one stacked solve:
 
 * ``ols`` minimizes the annual sum of squared errors.
 * ``cumulative`` minimizes the sum of squared differences between the
@@ -12,7 +12,8 @@ Two estimators share one design-matrix builder:
 A structural break splits the window into two segments estimated in a single
 solve; any coefficient (including the intercept) can be declared shared
 across segments, which is how the printed piecewise models with a common
-intercept or slope arise.
+intercept or slope arise. A fit solves a stack of one design; a break-year
+scan stacks one design per candidate year and keeps only each objective SSE.
 """
 
 from __future__ import annotations
@@ -23,11 +24,19 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .diagnose import least_squares, r_squared_values, residual_sigma_values, t_pvalue
+from .diagnose import (
+    least_squares_stack,
+    matvec,
+    r_squared_values,
+    residual_sigma_values,
+    t_pvalue,
+)
 from .errors import DomainError, EstimationError, InputError
 from .series import AnnualSeries, shift
 
 INTERCEPT = "intercept"
+# design entries per stacked solve in a break scan: bounds its working memory
+_STACK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -107,7 +116,7 @@ class FitResult:
 
     def coefficient_table(self) -> dict[str, float]:
         out: dict[str, float] = {}
-        for label, _, _ in _param_labels(self.spec):
+        for label, _, _ in _param_labels(self.spec, self.spec.break_year is not None):
             out[label] = self._lookup(label)
         return out
 
@@ -128,10 +137,10 @@ def _split_label(label: str) -> tuple[str, str | None]:
     return label, None
 
 
-def _param_labels(spec: LinkSpec) -> list[tuple[str, str, str | None]]:
+def _param_labels(spec: LinkSpec, piecewise: bool) -> list[tuple[str, str, str | None]]:
     """Ordered (label, coefficient name, segment tag) for the solve."""
     names = [INTERCEPT] + [p.name for p in spec.predictors]
-    if spec.break_year is None:
+    if not piecewise:
         return [(n, n, None) for n in names]
     out = []
     for n in names:
@@ -166,31 +175,74 @@ def _aligned_sample(spec: LinkSpec, data: Mapping[str, AnnualSeries]):
     return yv, cols, years
 
 
-def _design(spec: LinkSpec, cols: Mapping[str, np.ndarray], years: np.ndarray):
-    """Design matrix honoring break segmentation and sharing flags."""
-    labels = _param_labels(spec)
-    n = len(years)
-    if spec.break_year is not None:
-        first, last = int(years[0]), int(years[-1])
-        if not (first < spec.break_year <= last):
-            raise InputError(f"break year {spec.break_year} not inside window {first}..{last}")
-        post = years >= spec.break_year
-        # segment-size floor applies only when some coefficient actually varies
-        if any(tag is not None for _, _, tag in labels):
-            if post.sum() < 5 or (~post).sum() < 5:
-                raise InputError("each break segment needs at least 5 observations")
-    else:
-        post = np.zeros(n, dtype=bool)
-    X = np.empty((n, len(labels)))
+def _sample(spec: LinkSpec, data: Mapping[str, AnnualSeries], piecewise: bool):
+    """Aligned sample and solve labels, after the checks no break year changes.
+
+    A predictor that is exactly constant on the window raises EstimationError;
+    every other problem raises InputError.
+    """
+    yv, cols, years = _aligned_sample(spec, data)
+    for name, col in cols.items():
+        if np.ptp(col) == 0.0:
+            raise EstimationError(f"predictor {name!r} has zero variance on the window")
+    labels = _param_labels(spec, piecewise)
+    if len(years) < len(labels) + 2:
+        raise InputError(f"sample of {len(years)} too small for {len(labels)} coefficients")
+    return yv, cols, years, labels
+
+
+def _break_error(year: int, years: np.ndarray, labels) -> str | None:
+    """Why ``year`` cannot split the window, or None when it can."""
+    first, last = int(years[0]), int(years[-1])
+    if not (first < year <= last):
+        return f"break year {year} not inside window {first}..{last}"
+    # segment-size floor applies only when some coefficient actually varies
+    if any(tag is not None for _, _, tag in labels) and min(year - first, last - year + 1) < 5:
+        return "each break segment needs at least 5 observations"
+    return None
+
+
+def _design(labels, cols: Mapping[str, np.ndarray], years: np.ndarray,
+            break_years: Sequence[int | None]) -> np.ndarray:
+    """(m, n, k) design stack, one slice per break year (None: no break)."""
+    # no break: every year is pre-break, which an untagged design never reads
+    cuts = [years[-1] + 1 if b is None else b for b in break_years]
+    post = years >= np.array(cuts)[:, None]
+    X = np.empty(post.shape + (len(labels),))
     for j, (_, name, tag) in enumerate(labels):
-        base = np.ones(n) if name == INTERCEPT else cols[name]
+        base = 1.0 if name == INTERCEPT else cols[name]
         if tag == "pre":
-            X[:, j] = np.where(post, 0.0, base)
+            X[:, :, j] = np.where(post, 0.0, base)
         elif tag == "post":
-            X[:, j] = np.where(post, base, 0.0)
+            X[:, :, j] = np.where(post, base, 0.0)
         else:
-            X[:, j] = base
-    return X, labels
+            X[:, :, j] = base
+    return X
+
+
+def _solve(estimator: str, X: np.ndarray, yv: np.ndarray):
+    """The estimator's least squares on every slice of a design stack.
+
+    Returns ``(beta, residuals, N R^-1, full_rank)`` as ``least_squares_stack``
+    does; N spans the free directions (N = I for OLS), so the classical
+    covariance is s^2 (N R^-1)(N R^-1)'.
+    """
+    if estimator != "cumulative":
+        return least_squares_stack(X, yv)
+    A, b = np.cumsum(X, axis=-2), np.cumsum(yv)
+    # Eliminate the endpoint constraint c.z = d (c, d: last cumulated row):
+    # z = z0 + N w, with N the trailing columns of the complete QR of c.
+    # c never vanishes, because its intercept entries count observations.
+    q, r = np.linalg.qr(np.swapaxes(A[:, -1:], -1, -2), mode="complete")
+    z0, nullspace = q[:, :, 0] * (b[-1] / r[:, :1, 0]), q[:, :, 1:]
+    w, resid, r_inv, full_rank = least_squares_stack(A @ nullspace, b - matvec(A, z0))
+    return z0 + matvec(nullspace, w), resid, nullspace @ r_inv, full_rank
+
+
+def _sse(observed: np.ndarray, predicted: np.ndarray) -> np.ndarray:
+    """Sum of squared differences over the last axis, per slice of a stack."""
+    e = observed - predicted
+    return (e[..., None, :] @ e[..., :, None])[..., 0, 0]
 
 
 def _build_result(spec, data, beta, stderr, dof, labels, X, yv, years) -> FitResult:
@@ -206,10 +258,8 @@ def _build_result(spec, data, beta, stderr, dof, labels, X, yv, years) -> FitRes
     coeff = {label: float(b) for label, b in zip(names, beta)}
     segments = _segments_from_coefficients(spec, coeff, first, last)
 
-    var_y = float(np.var(yv))
-    r2_annual = r_squared_values(yv, pred) if var_y > 0 else float("nan")
-    var_c = float(np.var(c_obs))
-    r2_cum = r_squared_values(c_obs, c_pred) if var_c > 0 else float("nan")
+    r2_annual = r_squared_values(yv, pred) if np.ptp(yv) > 0 else float("nan")
+    r2_cum = r_squared_values(c_obs, c_pred) if np.ptp(c_obs) > 0 else float("nan")
 
     return FitResult(
         spec=spec,
@@ -222,8 +272,8 @@ def _build_result(spec, data, beta, stderr, dof, labels, X, yv, years) -> FitRes
                                units=data[spec.response].units),
         sigma=residual_sigma_values(resid),
         window=(first, last),
-        sse_annual=float(resid @ resid),
-        sse_cumulative=float((c_obs - c_pred) @ (c_obs - c_pred)),
+        sse_annual=float(_sse(yv, pred)),
+        sse_cumulative=float(_sse(c_obs, c_pred)),
     )
 
 
@@ -250,29 +300,21 @@ def _segments_from_coefficients(spec, coeff, first, last):
 
 
 def _fit(spec: LinkSpec, data: Mapping[str, AnnualSeries]) -> FitResult:
-    yv, cols, years = _aligned_sample(spec, data)
-    for name, col in cols.items():
-        if float(np.var(col)) == 0.0:
-            raise EstimationError(f"predictor {name!r} has zero variance on the window")
-    X, labels = _design(spec, cols, years)
-    n, k = X.shape
-    if n < k + 2:
-        raise InputError(f"sample of {n} too small for {k} coefficients")
-    if spec.estimator == "cumulative":
-        A, b = np.cumsum(X, axis=0), np.cumsum(yv)
-        # Eliminate the endpoint constraint c.z = d (c, d: last cumulated row):
-        # z = z0 + N w, with N the trailing columns of the complete QR of c.
-        # c never vanishes, because its intercept entries count observations.
-        q, r = np.linalg.qr(A[-1:].T, mode="complete")
-        z0, nullspace = q[:, 0] * (b[-1] / r[0, 0]), q[:, 1:]
-        w, resid, r_inv = least_squares(A @ nullspace, b - A @ z0)
-        beta, r_inv = z0 + nullspace @ w, nullspace @ r_inv
-    else:
-        beta, resid, r_inv = least_squares(X, yv)
+    """One fit: the stack of one through the scan's design and solve."""
+    yv, cols, years, labels = _sample(spec, data, spec.break_year is not None)
+    if spec.break_year is not None:
+        problem = _break_error(spec.break_year, years, labels)
+        if problem is not None:
+            raise InputError(problem)
+    X = _design(labels, cols, years, [spec.break_year])
+    beta, resid, r_inv, full_rank = _solve(spec.estimator, X, yv)
+    if not full_rank[0]:
+        raise EstimationError("degenerate design: zero-variance or collinear predictors")
+    beta, resid, r_inv = beta[0], resid[0], r_inv[0]
     # classical errors: cov = s^2 (N R^-1)(N R^-1)', with N = I for OLS
-    dof = n - r_inv.shape[1]
+    dof = len(years) - r_inv.shape[1]
     stderr = np.sqrt(float(resid @ resid) / dof) * np.linalg.norm(r_inv, axis=1)
-    return _build_result(spec, data, beta, stderr, dof, labels, X, yv, years)
+    return _build_result(spec, data, beta, stderr, dof, labels, X[0], yv, years)
 
 
 def ols_fit(spec: LinkSpec, data: Mapping[str, AnnualSeries]) -> FitResult:
@@ -357,22 +399,40 @@ def scan_break(
     data: Mapping[str, AnnualSeries],
     candidate_years: Sequence[int],
 ) -> tuple[list[tuple[int, float]], int]:
-    """Exhaustive piecewise fit over candidate break years.
+    """Exhaustive piecewise fit over candidate break years, SSE only.
 
-    Best year minimizes the estimator's total SSE; ties go to the earliest
-    year. Results are in candidate order regardless of evaluation order.
+    The sample is aligned once and the legal candidates are solved together
+    in stacked passes of at most ``_STACK_ENTRIES`` design entries each;
+    candidates outside the window, under the segment floor or with a
+    rank-deficient design are dropped. Best year minimizes the
+    estimator's total SSE; ties go to the earliest year. Results are in
+    candidate order regardless of evaluation order.
     """
+    try:
+        yv, cols, years, labels = _sample(spec, data, True)
+    except EstimationError as exc:  # a constant predictor fails every candidate
+        raise InputError(str(exc)) from exc
+    legal = [year for year in candidate_years if _break_error(year, years, labels) is None]
+    step = max(1, _STACK_ENTRIES // (len(years) * len(labels)))
     profile: list[tuple[int, float]] = []
-    for year in candidate_years:
-        try:
-            result = fit_piecewise(replace(spec, break_year=year), data)
-        except (InputError, EstimationError):
-            continue
-        profile.append((year, result.objective_sse))
+    for i in range(0, len(legal), step):
+        profile += _break_sse(spec.estimator, labels, cols, years, yv, legal[i:i + step])
     if not profile:
         raise InputError("no candidate break year yields a legal piecewise fit")
     best = min(profile, key=lambda item: (item[1], item[0]))
     return profile, best[0]
+
+
+def _break_sse(estimator, labels, cols, years, yv, break_years) -> list[tuple[int, float]]:
+    """(year, objective SSE) of every full-rank candidate, in one stacked solve."""
+    X = _design(labels, cols, years, break_years)
+    beta, _, _, full_rank = _solve(estimator, X, yv)
+    pred = matvec(X, beta)
+    if estimator == "cumulative":
+        sse = _sse(np.cumsum(yv), np.cumsum(pred, axis=-1))
+    else:
+        sse = _sse(yv, pred)
+    return [(year, float(e)) for year, e, ok in zip(break_years, sse, full_rank) if ok]
 
 
 def predict(

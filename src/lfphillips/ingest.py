@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import tempfile
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
@@ -180,9 +181,16 @@ def fetch_payload(
             return target.read_text(encoding="utf-8")
         raise RetrievalError(f"fetch of {desc.url} failed and no cache present: {exc}") from exc
     target.parent.mkdir(parents=True, exist_ok=True)
-    tmp = target.with_suffix(target.suffix + ".tmp")
-    tmp.write_text(payload, encoding="utf-8")
-    os.replace(tmp, target)  # atomic: concurrent fetchers of one key converge
+    # each fetcher writes its own temp file, then renames it over the target
+    # atomically: concurrent fetchers of one key converge on a whole payload
+    fd, tmp = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp", dir=target.parent)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return payload
 
 

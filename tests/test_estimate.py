@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from lfphillips import estimate
 from lfphillips.errors import DomainError, EstimationError, InputError
 from lfphillips.estimate import (
     LinkSpec,
@@ -240,6 +243,16 @@ class TestScanLag:
         assert scan_lag(single_spec(), flat, range(-5, 6))[1] == 0
         assert scan_lag(single_spec(), flat, range(5, -6, -1))[1] == 0
 
+    def test_inexact_constant_response_has_no_r2(self):
+        # 0.01 is not a binary fraction, so the mean leaves round-off residue;
+        # constancy is tested exactly, and every lag reports NaN
+        x, _ = generate(SynthSpec(intercept=0.0, slope=1.0, length=40, seed=3))
+        y = series([0.01] * 40, start=x.start_year)
+        results, best = scan_lag(single_spec(), {"x": x, "y": y}, range(-5, 6))
+        assert len(results) == 11
+        assert all(np.isnan(r.r2_annual) for _, r in results)
+        assert best == 0
+
 
 class TestScanBreak:
     def test_finds_injected_break(self):
@@ -264,6 +277,74 @@ class TestScanBreak:
         spec = LinkSpec("y", (Predictor("x"),))
         with pytest.raises(InputError):
             scan_break(spec, {"x": x, "y": y}, [1850])
+
+    @pytest.mark.parametrize("estimator", ["ols", "cumulative"])
+    @pytest.mark.parametrize("shared", [(), ("intercept",), ("x",)])
+    def test_profile_matches_one_fit_per_candidate(self, estimator, shared):
+        x, y = generate(SynthSpec(intercept=0.01, slope=-0.8, break_year=1996,
+                                  post_intercept=0.02, post_slope=0.4,
+                                  noise_sigma=0.002, length=40, seed=47))
+        data = {"x": x, "y": y}
+        spec = LinkSpec("y", (Predictor("x"),), estimator=estimator, shared=shared)
+        profile, best = scan_break(spec, data, range(1985, 2015))
+        assert [year for year, _ in profile] == list(range(1985, 2015))
+        for year, sse in profile:
+            direct = fit(replace(spec, break_year=year), data).objective_sse
+            assert sse == pytest.approx(direct, rel=1e-12, abs=0)
+        assert best == min(profile, key=lambda item: (item[1], item[0]))[0]
+
+    def test_profile_does_not_depend_on_the_pass_size(self, monkeypatch):
+        x, y = generate(SynthSpec(intercept=0.01, slope=-0.8, break_year=2040,
+                                  post_intercept=0.02, post_slope=0.4,
+                                  noise_sigma=0.002, length=160, seed=53))
+        spec = LinkSpec("y", (Predictor("x"),), estimator="cumulative")
+        stacked = scan_break(spec, {"x": x, "y": y}, range(1980, 2140))
+        # a budget of one entry solves each candidate in a pass of its own
+        monkeypatch.setattr(estimate, "_STACK_ENTRIES", 1)
+        assert scan_break(spec, {"x": x, "y": y}, range(1980, 2140)) == stacked
+        assert stacked[1] == 2040
+
+    def test_edge_and_outside_years_are_dropped(self):
+        x, y = generate(SynthSpec(intercept=0.0, slope=1.0, noise_sigma=0.002,
+                                  length=40, seed=1))
+        first, last = x.start_year, x.end_year
+        spec = LinkSpec("y", (Predictor("x"),), shared=("intercept",))
+        candidates = [first - 3, first, first + 4, first + 5, last - 4, last - 3, last + 1]
+        profile, _ = scan_break(spec, {"x": x, "y": y}, candidates)
+        # each segment needs 5 observations; first is not inside the window
+        assert [year for year, _ in profile] == [first + 5, last - 4]
+
+    def test_collinear_candidate_is_dropped(self):
+        # x is constant before 1990, so any break up to 1990 makes x[pre] a
+        # multiple of intercept[pre]; later breaks keep a full-rank design
+        x = series([0.02] * 10 + list(np.linspace(-0.01, 0.03, 30)))
+        noise = np.random.default_rng(5).normal(0.0, 0.001, 40)
+        y = series(0.01 - 0.5 * np.asarray(x.values) + noise)
+        spec = LinkSpec("y", (Predictor("x"),))
+        years = [1986, 1988, 1990, 1991, 1995]
+        with pytest.raises(EstimationError):
+            fit(replace(spec, break_year=1990), {"x": x, "y": y})
+        profile, _ = scan_break(spec, {"x": x, "y": y}, years)
+        assert [year for year, _ in profile] == [1991, 1995]
+
+    def test_zero_variance_predictor_is_an_input_error(self):
+        x = series([0.02] * 40)
+        y = series(np.linspace(0.0, 0.01, 40))
+        spec = LinkSpec("y", (Predictor("x"),), shared=("intercept",))
+        with pytest.raises(InputError, match="zero variance"):
+            scan_break(spec, {"x": x, "y": y}, range(1990, 2000))
+
+    def test_reversed_candidates_keep_best_and_order(self):
+        x, y = generate(SynthSpec(intercept=0.02, slope=-1.5, break_year=1998,
+                                  post_intercept=0.02, post_slope=-0.1,
+                                  noise_sigma=0.001, length=40, seed=29))
+        spec = LinkSpec("y", (Predictor("x"),), estimator="cumulative",
+                        shared=("intercept",))
+        forward, best_fwd = scan_break(spec, {"x": x, "y": y}, range(1990, 2010))
+        backward, best_rev = scan_break(spec, {"x": x, "y": y}, range(2009, 1989, -1))
+        assert best_rev == best_fwd
+        assert [year for year, _ in backward] == list(range(2009, 1989, -1))
+        assert dict(backward) == pytest.approx(dict(forward), rel=1e-12)
 
 
 class TestPredict:

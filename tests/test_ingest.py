@@ -1,4 +1,5 @@
 import http.server
+import io
 import json
 import threading
 
@@ -166,6 +167,17 @@ class TestFetchRemote:
     def test_env_var_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv(ingest.CACHE_DIR_ENV, str(tmp_path / "alt"))
         assert ingest.cache_dir() == tmp_path / "alt"
+
+    def test_stale_tmp_directory_does_not_block_the_fetch(self, monkeypatch, tmp_path):
+        desc = ingest.RemoteDescriptor(base_url="http://example.invalid", dataset="x", key="y")
+        target = desc.cache_file(tmp_path)
+        stale = target.with_suffix(target.suffix + ".tmp")
+        stale.mkdir(parents=True)
+        monkeypatch.setattr(ingest.urllib.request, "urlopen",
+                            lambda url, timeout: io.BytesIO(PAYLOAD.encode()))
+        assert ingest.fetch_payload(desc, cache=tmp_path) == PAYLOAD
+        assert target.read_text(encoding="utf-8") == PAYLOAD
+        assert sorted(target.parent.iterdir()) == sorted([target, stale])
 
 
 class TestParticipation:
