@@ -134,7 +134,7 @@ def _fit_document(result: estimate.FitResult) -> dict:
 
 
 def _write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    ingest.write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_fit(args) -> int:
@@ -159,7 +159,7 @@ def cmd_scan_lag(args) -> int:
             f"{lag},{res.r2_annual!r},{res.r2_cumulative!r},{res.objective_sse!r},"
             f"{'*' if lag == best else ''}"
         )
-    (out / "scan_lag.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ingest.write_atomic(out / "scan_lag.csv", "\n".join(lines) + "\n")
     print(f"best lag: {best}")
     return 0
 
@@ -172,7 +172,7 @@ def cmd_scan_break(args) -> int:
     lines = ["year,sse,best"]
     for year, sse in profile:
         lines.append(f"{year},{sse!r},{'*' if year == best else ''}")
-    (out / "scan_break.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ingest.write_atomic(out / "scan_break.csv", "\n".join(lines) + "\n")
     print(f"best break year: {best}")
     return 0
 
@@ -211,9 +211,9 @@ def cmd_forecast(args) -> int:
     out = _out_dir(args)
     formats = set((args.format or "csv,json").split(","))
     if "csv" in formats:
-        (out / "report.csv").write_text(forecast.report_to_csv(report), encoding="utf-8")
+        ingest.write_atomic(out / "report.csv", forecast.report_to_csv(report))
     if "json" in formats:
-        (out / "report.json").write_text(forecast.report_to_json(report), encoding="utf-8")
+        ingest.write_atomic(out / "report.json", forecast.report_to_json(report))
     if "svg" in formats:
         paths = list(report.all_paths().values())
         if paths:
@@ -225,8 +225,8 @@ def cmd_forecast(args) -> int:
             ):
                 if group:
                     doc = svg.line_chart([s.relabel(k) for k, s in group], style=style)
-                    (out / f"forecast_{tag}.svg").write_text(doc, encoding="utf-8")
-    (out / "scenario.csv").write_text(forecast.scenario_to_csv(scenario), encoding="utf-8")
+                    ingest.write_atomic(out / f"forecast_{tag}.svg", doc)
+    ingest.write_atomic(out / "scenario.csv", forecast.scenario_to_csv(scenario))
     print(f"forecast written to {out}")
     return 0
 
@@ -251,7 +251,7 @@ def cmd_plot(args) -> int:
                          regression=regression)
     out = _out_dir(args)
     target = out / (args.name or "chart.svg")
-    target.write_text(doc, encoding="utf-8")
+    ingest.write_atomic(target, doc)
     print(f"chart written to {target}")
     return 0
 

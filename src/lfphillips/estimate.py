@@ -32,7 +32,7 @@ from .diagnose import (
     t_pvalue,
 )
 from .errors import DomainError, EstimationError, InputError
-from .series import AnnualSeries, shift
+from .series import AnnualSeries
 
 INTERCEPT = "intercept"
 # design entries per stacked solve in a break scan: bounds its working memory
@@ -153,26 +153,31 @@ def _param_labels(spec: LinkSpec, piecewise: bool) -> list[tuple[str, str, str |
 
 
 def _aligned_sample(spec: LinkSpec, data: Mapping[str, AnnualSeries]):
-    """Response vector, per-predictor columns, and the common year window."""
+    """Response vector, per-predictor columns, and the common year window.
+
+    A predictor lagged by k contributes its value at year t - k to year t, so
+    its aligned start year is its own start plus k; every vector is then one
+    slice of its series' values.
+    """
     if spec.response not in data:
         raise InputError(f"response series {spec.response!r} missing from data")
     y = data[spec.response]
-    shifted = []
+    aligned = [(y, y.start_year)]
     for p in spec.predictors:
         if p.name not in data:
             raise InputError(f"predictor series {p.name!r} missing from data")
-        shifted.append(shift(data[p.name], p.lag))
-    first = max([y.start_year] + [s.start_year for s in shifted])
-    last = min([y.end_year] + [s.end_year for s in shifted])
-    if spec.window is not None:
-        first = max(first, spec.window[0])
-        last = min(last, spec.window[1])
+        s = data[p.name]
+        aligned.append((s, s.start_year + p.lag))
+    first = max(start for _, start in aligned)
+    last = min(start + len(s) - 1 for s, start in aligned)
+    if spec.window is not None:  # a JSON spec may spell its years as floats
+        first = max(first, int(spec.window[0]))
+        last = min(last, int(spec.window[1]))
     if first > last:
         raise InputError("empty aligned sample; check lags and window")
-    years = np.arange(first, last + 1)
-    yv = np.array([y.value(int(t)) for t in years])
-    cols = {p.name: np.array([s.value(int(t)) for t in years]) for p, s in zip(spec.predictors, shifted)}
-    return yv, cols, years
+    yv, *xs = [np.array(s.values[first - start:last - start + 1]) for s, start in aligned]
+    cols = {p.name: x for p, x in zip(spec.predictors, xs)}
+    return yv, cols, np.arange(first, last + 1)
 
 
 def _sample(spec: LinkSpec, data: Mapping[str, AnnualSeries], piecewise: bool):
@@ -268,7 +273,7 @@ def _build_result(spec, data, beta, stderr, dof, labels, X, yv, years) -> FitRes
         pvalues=pvalues,
         r2_annual=r2_annual,
         r2_cumulative=r2_cum,
-        residuals=AnnualSeries(first, tuple(resid), label="residuals",
+        residuals=AnnualSeries(first, resid.tolist(), label="residuals",
                                units=data[spec.response].units),
         sigma=residual_sigma_values(resid),
         window=(first, last),

@@ -13,7 +13,6 @@ from __future__ import annotations
 import io
 import json
 import os
-import tempfile
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
@@ -181,17 +180,35 @@ def fetch_payload(
             return target.read_text(encoding="utf-8")
         raise RetrievalError(f"fetch of {desc.url} failed and no cache present: {exc}") from exc
     target.parent.mkdir(parents=True, exist_ok=True)
-    # each fetcher writes its own temp file, then renames it over the target
-    # atomically: concurrent fetchers of one key converge on a whole payload
-    fd, tmp = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp", dir=target.parent)
+    # concurrent fetchers of one key converge on a whole payload
+    write_atomic(target, payload)
+    return payload
+
+
+def write_atomic(path, text: str) -> None:
+    """Replace the file at ``path`` with ``text`` in one rename.
+
+    The text goes to a uniquely named temp file in the same directory, which
+    is then renamed over the target, so a reader sees the old file or the new
+    one, never part of one. On any failure the temp file is removed and the
+    target is left as it was. The file gets the mode ``Path.write_text``
+    gives a new file (0o666 less the umask).
+    """
+    target = Path(path)
+    while True:
+        tmp = target.with_name(f"{target.name}.{os.urandom(6).hex()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
         os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise
-    return payload
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -283,4 +300,4 @@ def write_csv_series(s: AnnualSeries, path, percent: bool = False) -> None:
     lines = ["year,value"]
     for year, value in zip(s.years, s.values):
         lines.append(f"{year},{value * scale!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")

@@ -30,14 +30,15 @@ class AnnualSeries:
     units: str = "fraction"
 
     def __post_init__(self) -> None:
-        if not self.values:
+        values = tuple(map(float, self.values))
+        if not values:
             raise InputError("series must contain at least one value")
         if self.units not in VALID_UNITS:
             raise InputError(f"unknown units {self.units!r}; expected one of {VALID_UNITS}")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        for i, v in enumerate(self.values):
-            if not math.isfinite(v):
-                raise InputError(f"non-finite value at year {self.start_year + i}")
+        if not all(map(math.isfinite, values)):
+            bad = next(i for i, v in enumerate(values) if not math.isfinite(v))
+            raise InputError(f"non-finite value at year {self.start_year + bad}")
+        object.__setattr__(self, "values", values)
 
     @property
     def end_year(self) -> int:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from lfphillips import ingest
+from lfphillips import forecast, ingest
 from lfphillips.cli import main
 from lfphillips.oracle import SynthSpec, generate
 from tests.conftest import DATA_DIR
@@ -273,3 +273,29 @@ class TestDeterminism:
                        "plot", "--series", "cpi,dgdp") == 0
             outs.append(self._artifacts(out))
         assert outs[0] == outs[1]
+
+
+class TestAtomicArtifacts:
+    def test_failed_serializer_keeps_previous_artifact(self, japan_scenario_path, tmp_path,
+                                                       monkeypatch, capsys):
+        out = tmp_path / "o"
+        argv = ("--out", str(out), "--format", "csv,json", "forecast",
+                "--scenario", str(japan_scenario_path), "--models", "eq8,eq9")
+        assert run(*argv) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        # the text cannot be encoded, so writing it fails part-way
+        real = forecast.report_to_json
+        monkeypatch.setattr(forecast, "report_to_json", lambda r: real(r) + "\ud800")
+        assert run(*argv) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_artifact_mode_matches_write_text(self, line_fixture, tmp_path):
+        out = tmp_path / "o"
+        assert run("--manifest", str(line_fixture), "--out", str(out),
+                   "fit", "--response", "y", "--predictor", "x") == 0
+        sibling = out / "sibling.txt"
+        sibling.write_text("x\n", encoding="utf-8")
+        mode = sibling.stat().st_mode & 0o777
+        assert (out / "fit.json").stat().st_mode & 0o777 == mode
+        assert (out / "residuals.csv").stat().st_mode & 0o777 == mode

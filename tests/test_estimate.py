@@ -416,3 +416,88 @@ class TestOriginalPhillips:
             original_phillips(0.0)
         with pytest.raises(DomainError):
             original_phillips(-1.0)
+
+
+def reference_sample(spec, data):
+    """The aligned sample by per-year lookups: y(t) against x(t - lag)."""
+    y = data[spec.response]
+    preds = [(data[p.name], p.lag) for p in spec.predictors]
+    first = max([y.start_year] + [s.start_year + lag for s, lag in preds])
+    last = min([y.end_year] + [s.end_year + lag for s, lag in preds])
+    if spec.window is not None:
+        first, last = max(first, spec.window[0]), min(last, spec.window[1])
+    years = range(first, last + 1)
+    cols = {p.name: [s.value(t - lag) for t in years]
+            for p, (s, lag) in zip(spec.predictors, preds)}
+    return [y.value(t) for t in years], cols, list(years)
+
+
+def assert_same_sample(spec, data):
+    yv, cols, years = estimate._aligned_sample(spec, data)
+    want_y, want_cols, want_years = reference_sample(spec, data)
+    assert years.tolist() == want_years
+    assert yv.tolist() == want_y
+    assert {name: col.tolist() for name, col in cols.items()} == want_cols
+
+
+class TestAlignedSample:
+    LAGS = range(-5, 6)
+
+    @pytest.mark.parametrize("response", ["cpi", "dgdp", "unemployment"])
+    @pytest.mark.parametrize("predictor", ["unemployment", "labor_force_growth"])
+    @pytest.mark.parametrize("window", [None, (1975, 2000), (1982, 2012)])
+    def test_japan_links_match_per_year_lookups(self, japan, response, predictor, window):
+        for lag in self.LAGS:
+            spec = LinkSpec(response, (Predictor(predictor, lag),), window=window)
+            assert_same_sample(spec, japan)
+
+    @pytest.mark.parametrize("window", [None, (1990, 2010)])
+    def test_synthetic_spans_that_differ(self, window):
+        for lag in self.LAGS:
+            # the predictor starts `lag` years before the response; the second
+            # predictor is cut short at both ends
+            x, y = generate(SynthSpec(intercept=0.01, slope=1.3, lag=lag, noise_sigma=0.002,
+                                      length=40, seed=50 + lag))
+            z, _ = generate(SynthSpec(intercept=0.0, slope=1.0, length=30, seed=7,
+                                      start_year=1985))
+            data = {"x": x, "y": y, "z": z.window(1987, 2011)}
+            for zlag in (-2, 0, 3):
+                spec = LinkSpec("y", (Predictor("x", lag), Predictor("z", zlag)),
+                                window=window)
+                assert_same_sample(spec, data)
+
+    def test_integral_float_window(self, japan):
+        # a JSON spec may spell the window years as floats
+        spec = LinkSpec("cpi", (Predictor("unemployment", 2),), window=(1975, 2000))
+        floats = replace(spec, window=(1975.0, 2000.0))
+        yv, cols, years = estimate._aligned_sample(floats, japan)
+        want_y, want_cols, want_years = estimate._aligned_sample(spec, japan)
+        assert years.tolist() == want_years.tolist()
+        assert yv.tolist() == want_y.tolist()
+        assert cols["unemployment"].tolist() == want_cols["unemployment"].tolist()
+
+    def test_missing_response(self):
+        data = {"x": series([1.0, 2.0, 3.0])}
+        with pytest.raises(InputError, match="^response series 'y' missing from data$"):
+            estimate._aligned_sample(LinkSpec("y", (Predictor("w"),)), data)
+
+    def test_missing_predictor(self):
+        data = {"x": series([1.0, 2.0, 3.0]), "y": series([1.0, 2.0, 3.0], start=2000)}
+        spec = LinkSpec("y", (Predictor("x"), Predictor("w")))
+        with pytest.raises(InputError, match="^predictor series 'w' missing from data$"):
+            estimate._aligned_sample(spec, data)
+
+    @pytest.mark.parametrize("lag, window", [(5, None), (0, (1990, 1995)), (-1, (1982, 1982))])
+    def test_empty_sample(self, lag, window):
+        data = {"x": series([1.0, 2.0, 3.0]), "y": series([1.0, 2.0, 3.0])}
+        spec = LinkSpec("y", (Predictor("x", lag),), window=window)
+        with pytest.raises(InputError, match="^empty aligned sample; check lags and window$"):
+            estimate._aligned_sample(spec, data)
+
+    @pytest.mark.parametrize("estimator, break_year", [("ols", None), ("cumulative", 2000)])
+    def test_residuals_are_python_floats(self, estimator, break_year):
+        x, y = generate(SynthSpec(intercept=0.01, slope=1.5, noise_sigma=0.003,
+                                  length=40, seed=59))
+        r = fit(single_spec(estimator, break_year=break_year), {"x": x, "y": y})
+        assert len(r.residuals) == 40
+        assert all(type(v) is float for v in r.residuals.values)

@@ -179,6 +179,42 @@ class TestFetchRemote:
         assert target.read_text(encoding="utf-8") == PAYLOAD
         assert sorted(target.parent.iterdir()) == sorted([target, stale])
 
+    def test_cache_file_has_write_text_mode(self, monkeypatch, tmp_path):
+        desc = ingest.RemoteDescriptor(base_url="http://example.invalid", dataset="x", key="y")
+        monkeypatch.setattr(ingest.urllib.request, "urlopen",
+                            lambda url, timeout: io.BytesIO(PAYLOAD.encode()))
+        ingest.fetch_payload(desc, cache=tmp_path)
+        sibling = tmp_path / "sibling.csv"
+        sibling.write_text(PAYLOAD, encoding="utf-8")
+        assert desc.cache_file(tmp_path).stat().st_mode == sibling.stat().st_mode
+
+
+class TestWriteAtomic:
+    def test_replaces_the_whole_file(self, tmp_path):
+        target = tmp_path / "a.csv"
+        target.write_text("old text that is longer than the new\n", encoding="utf-8")
+        ingest.write_atomic(target, "new\n")
+        assert target.read_bytes() == b"new\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path):
+        target = tmp_path / "a.csv"
+        target.write_text("year,value\n1980,1.0\n", encoding="utf-8")
+        before = target.read_bytes()
+        with pytest.raises(UnicodeEncodeError):
+            ingest.write_atomic(target, "year,value\n" * 1000 + "\ud800")
+        assert target.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_new_file_has_write_text_mode(self, tmp_path):
+        ingest.write_atomic(tmp_path / "a.csv", "x\n")
+        (tmp_path / "b.csv").write_text("x\n", encoding="utf-8")
+        assert (tmp_path / "a.csv").stat().st_mode == (tmp_path / "b.csv").stat().st_mode
+
+    def test_missing_directory_leaves_nothing(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            ingest.write_atomic(tmp_path / "absent" / "a.csv", "x\n")
+        assert list(tmp_path.iterdir()) == []
 
 class TestParticipation:
     def test_zero_rate(self):

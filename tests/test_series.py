@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -55,6 +56,21 @@ class TestAnnualSeries:
         with pytest.raises(InputError):
             a - b
 
+
+
+class TestConstruction:
+    def test_numpy_array_values(self):
+        s = AnnualSeries(1980, np.array([1.0, 2.0]))
+        assert s.values == (1.0, 2.0)
+        assert all(type(v) is float for v in s.values)
+
+    def test_empty_numpy_array_rejected(self):
+        with pytest.raises(InputError, match="at least one value"):
+            AnnualSeries(1980, np.array([]))
+
+    def test_names_the_first_non_finite_year(self):
+        with pytest.raises(InputError, match="non-finite value at year 1981$"):
+            AnnualSeries(1980, (1.0, math.inf, math.nan))
 
 class TestLogGrowth:
     def test_constant_level(self):
