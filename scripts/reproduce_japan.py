@@ -70,7 +70,7 @@ def main() -> int:
         scatter=True,
     )
     target = out / "phillips_scatter.svg"
-    target.write_text(chart, encoding="utf-8")
+    ingest.write_atomic(target, chart)
     print(f"scatter chart written to {target}")
     return 0
 

@@ -50,16 +50,15 @@ def _spec_from_args(args) -> estimate.LinkSpec:
         doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
         try:
             predictors = tuple(
-                estimate.Predictor(p["name"], int(p.get("lag", 0))) for p in doc["predictors"]
+                estimate.Predictor(p["name"], p.get("lag", 0)) for p in doc["predictors"]
             )
-            window = tuple(doc["window"]) if doc.get("window") else None
             spec = estimate.LinkSpec(
                 response=doc["response"],
                 predictors=predictors,
                 estimator=doc.get("estimator", "ols"),
                 break_year=doc.get("break_year"),
                 shared=tuple(doc.get("shared", ())),
-                window=window,
+                window=doc.get("window"),
             )
         except KeyError as exc:
             raise InputError(f"spec {args.spec}: missing key {exc}") from exc

@@ -19,6 +19,7 @@ scan stacks one design per candidate year and keeps only each objective SSE.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -39,10 +40,30 @@ INTERCEPT = "intercept"
 _STACK_ENTRIES = 1 << 15
 
 
+def _check_name(field_name: str, value) -> None:
+    if not isinstance(value, str):
+        raise InputError(f"{field_name} must be a string, got {value!r}")
+
+
+def _integral(field_name: str, value) -> int:
+    """``value`` as an int; an integral float (JSON may spell 1982 as 1982.0) converts."""
+    if type(value) is int:  # the common case, ahead of the slower numbers.Integral check
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise InputError(f"{field_name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Predictor:
     name: str
     lag: int = 0
+
+    def __post_init__(self) -> None:
+        _check_name("predictor name", self.name)
+        object.__setattr__(self, "lag", _integral("lag", self.lag))
 
 
 @dataclass(frozen=True)
@@ -62,16 +83,26 @@ class LinkSpec:
     window: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
+        _check_name("response", self.response)
         if not self.predictors:
             raise InputError("LinkSpec needs at least one predictor")
         if self.estimator not in ("ols", "cumulative"):
             raise InputError(f"unknown estimator {self.estimator!r}")
         names = {INTERCEPT} | {p.name for p in self.predictors}
         for s in self.shared:
+            _check_name("shared coefficient", s)
             if s not in names:
                 raise InputError(f"shared coefficient {s!r} names no predictor")
-        if self.window is not None and self.window[0] > self.window[1]:
-            raise InputError(f"empty window {self.window}")
+        if self.break_year is not None:
+            object.__setattr__(self, "break_year", _integral("break_year", self.break_year))
+        if self.window is not None:
+            if not isinstance(self.window, (tuple, list)) or len(self.window) != 2:
+                raise InputError(f"window must be two years, got {self.window!r}")
+            window = (_integral("window year", self.window[0]),
+                      _integral("window year", self.window[1]))
+            if window[0] > window[1]:
+                raise InputError(f"empty window {window}")
+            object.__setattr__(self, "window", window)
 
     def with_lag(self, name: str, lag: int) -> "LinkSpec":
         preds = tuple(replace(p, lag=lag) if p.name == name else p for p in self.predictors)
@@ -170,9 +201,9 @@ def _aligned_sample(spec: LinkSpec, data: Mapping[str, AnnualSeries]):
         aligned.append((s, s.start_year + p.lag))
     first = max(start for _, start in aligned)
     last = min(start + len(s) - 1 for s, start in aligned)
-    if spec.window is not None:  # a JSON spec may spell its years as floats
-        first = max(first, int(spec.window[0]))
-        last = min(last, int(spec.window[1]))
+    if spec.window is not None:
+        first = max(first, spec.window[0])
+        last = min(last, spec.window[1])
     if first > last:
         raise InputError("empty aligned sample; check lags and window")
     yv, *xs = [np.array(s.values[first - start:last - start + 1]) for s, start in aligned]

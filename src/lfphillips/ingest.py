@@ -13,8 +13,6 @@ from __future__ import annotations
 import io
 import json
 import os
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -172,6 +170,10 @@ def fetch_payload(
     target = desc.cache_file(cache if cache is not None else cache_dir())
     if target.exists() and not force:
         return target.read_text(encoding="utf-8")
+    # the HTTP stack costs ~45 ms to import; only a cold fetch pays for it
+    import urllib.error
+    import urllib.request
+
     try:
         with urllib.request.urlopen(desc.url, timeout=timeout) as resp:
             payload = resp.read().decode("utf-8")

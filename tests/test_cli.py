@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lfphillips import forecast, ingest
 from lfphillips.cli import main
@@ -91,6 +97,22 @@ class TestFit:
         assert doc["spec"]["estimator"] == "cumulative"
         assert doc["coefficients"]["x"] == pytest.approx(2.0, abs=1e-10)
 
+    def test_float_spelled_window_is_echoed_as_integers(self, line_fixture, tmp_path):
+        outs = []
+        for window in ([1982, 1995], [1982.0, 1995.0]):
+            spec = {"response": "y", "predictors": [{"name": "x", "lag": 1.0}],
+                    "window": window}
+            spath = tmp_path / "spec.json"
+            spath.write_text(json.dumps(spec))
+            out = tmp_path / f"o{len(outs)}"
+            assert run("--manifest", str(line_fixture), "--out", str(out),
+                       "fit", "--spec", str(spath)) == 0
+            outs.append((out / "fit.json").read_bytes())
+        assert outs[0] == outs[1]
+        doc = json.loads(outs[1])
+        assert doc["spec"]["window"] == [1982, 1995]
+        assert doc["spec"]["predictors"] == [{"name": "x", "lag": 1}]
+
 
 class TestScan:
     def test_lag_scan_identity(self, line_fixture, tmp_path):
@@ -142,6 +164,26 @@ class TestMalformedJson:
         assert "horizon" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("fields, culprit", [
+        ({"break_year": "1990"}, "break_year"),
+        ({"break_year": 1990.5}, "break_year"),
+        ({"window": [1982]}, "window"),
+        ({"window": ["1982", "2012"]}, "window year"),
+        ({"response": {}}, "response"),
+        ({"predictors": [{"name": "unemployment", "lag": 1.5}]}, "lag"),
+        ({"predictors": [{"name": "unemployment", "lag": True}]}, "lag"),
+    ])
+    def test_spec_field_of_the_wrong_type(self, tmp_path, capsys, fields, culprit):
+        spec = {"response": "cpi", "predictors": [{"name": "unemployment"}], **fields}
+        spath = tmp_path / "spec.json"
+        spath.write_text(json.dumps(spec))
+        assert run("--manifest", str(DATA_DIR / "manifest.json"), "--out", str(tmp_path / "o"),
+                   "fit", "--spec", str(spath)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {culprit} must be")
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_manifest_entry_that_is_a_number(self, tmp_path, capsys):
         mpath = tmp_path / "manifest.json"
         mpath.write_text(json.dumps({"series": {"u": 5}}))
@@ -150,6 +192,79 @@ class TestMalformedJson:
         err = capsys.readouterr().err
         assert "'u'" in err
         assert "Traceback" not in err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6,
+)
+SERIES_NAMES = st.sampled_from(["cpi", "dgdp", "unemployment", "labor_force_growth", "nope"])
+YEARS = st.integers(1955, 2020)
+REQUIRED = {
+    "response": SERIES_NAMES,
+    "predictors": st.lists(st.fixed_dictionaries({"name": SERIES_NAMES},
+                                                 optional={"lag": st.integers(-6, 6)}),
+                           min_size=1, max_size=2),
+}
+OPTIONAL = {
+    "estimator": st.sampled_from(["ols", "cumulative"]),
+    "break_year": st.none() | YEARS,
+    "shared": st.lists(st.sampled_from(["intercept", "unemployment", "cpi"]), max_size=2),
+    "window": st.none() | st.lists(YEARS, min_size=2, max_size=2),
+}
+
+
+@st.composite
+def spec_docs(draw):
+    """Any JSON value, or a well-typed spec with up to two keys (a predictor's
+    name and lag among them) set to any JSON value."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(JSON_VALUES)
+    doc = draw(st.fixed_dictionaries(REQUIRED, optional=OPTIONAL))
+    predictor = doc["predictors"][0]
+    fields = [*REQUIRED, *OPTIONAL, "name", "lag"]
+    for key in draw(st.lists(st.sampled_from(fields), max_size=2, unique=True)):
+        (predictor if key in ("name", "lag") else doc)[key] = draw(JSON_VALUES)
+    return doc
+
+
+class TestSpecFuzz:
+    # the examples share tmp_path; each one rewrites the spec and the artifacts
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=spec_docs())
+    def test_fit_ends_in_an_exit_code(self, tmp_path, doc):
+        spath = tmp_path / "spec.json"
+        spath.write_text(json.dumps(doc), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run("--manifest", str(DATA_DIR / "manifest.json"),
+                       "--out", str(tmp_path / "o"), "fit", "--spec", str(spath))
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+
+
+class TestImports:
+    def test_offline_fit_loads_no_http_stack(self, tmp_path):
+        # a fresh interpreter: this test process has imported the HTTP stack already
+        child = ("import json, sys\n"
+                 "from lfphillips import cli\n"
+                 "code = cli.main(['--manifest', sys.argv[1], '--out', sys.argv[2], 'fit',\n"
+                 "                 '--response', 'cpi', '--predictor', 'unemployment'])\n"
+                 "print(json.dumps(sorted(sys.modules)))\n"
+                 "sys.exit(code)\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", child, str(DATA_DIR / "manifest.json"), str(tmp_path)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+        assert "lfphillips.ingest" in loaded
+        assert loaded.isdisjoint({"urllib.request", "http.client", "ssl", "email"})
 
 
 class TestForecast:

@@ -501,3 +501,41 @@ class TestAlignedSample:
         r = fit(single_spec(estimator, break_year=break_year), {"x": x, "y": y})
         assert len(r.residuals) == 40
         assert all(type(v) is float for v in r.residuals.values)
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("lag", [1.5, True, "1", None, float("nan")])
+    def test_non_integral_lag(self, lag):
+        with pytest.raises(InputError, match="^lag must be an integer"):
+            Predictor("x", lag)
+
+    def test_non_string_names(self):
+        with pytest.raises(InputError, match="^predictor name must be a string"):
+            Predictor(1)
+        with pytest.raises(InputError, match="^response must be a string"):
+            LinkSpec({}, (Predictor("x"),))
+        with pytest.raises(InputError, match="^shared coefficient must be a string"):
+            LinkSpec("y", (Predictor("x"),), break_year=1990, shared=({},))
+
+    @pytest.mark.parametrize("year", ["1990", 1990.5, False])
+    def test_non_integral_break_year(self, year):
+        with pytest.raises(InputError, match="^break_year must be an integer"):
+            single_spec(break_year=year)
+
+    @pytest.mark.parametrize("window", [(1982,), (1982, 1990, 2000), 1982])
+    def test_window_of_other_than_two_years(self, window):
+        with pytest.raises(InputError, match="^window must be two years"):
+            single_spec(window=window)
+
+    @pytest.mark.parametrize("window", [("1982", "2012"), (1982, 2012.5), (True, 2012)])
+    def test_non_integral_window_year(self, window):
+        with pytest.raises(InputError, match="^window year must be an integer"):
+            single_spec(window=window)
+
+    def test_integral_values_become_ints(self):
+        spec = LinkSpec("y", (Predictor("x", 2.0),), break_year=np.int64(1990),
+                        window=[1982.0, np.float64(2012.0)])
+        assert spec.predictors[0].lag == 2 and type(spec.predictors[0].lag) is int
+        assert spec.break_year == 1990 and type(spec.break_year) is int
+        assert spec.window == (1982, 2012)
+        assert all(type(y) is int for y in spec.window)

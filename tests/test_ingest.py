@@ -2,6 +2,7 @@ import http.server
 import io
 import json
 import threading
+import urllib.request
 
 import pytest
 
@@ -173,7 +174,7 @@ class TestFetchRemote:
         target = desc.cache_file(tmp_path)
         stale = target.with_suffix(target.suffix + ".tmp")
         stale.mkdir(parents=True)
-        monkeypatch.setattr(ingest.urllib.request, "urlopen",
+        monkeypatch.setattr(urllib.request, "urlopen",
                             lambda url, timeout: io.BytesIO(PAYLOAD.encode()))
         assert ingest.fetch_payload(desc, cache=tmp_path) == PAYLOAD
         assert target.read_text(encoding="utf-8") == PAYLOAD
@@ -181,7 +182,7 @@ class TestFetchRemote:
 
     def test_cache_file_has_write_text_mode(self, monkeypatch, tmp_path):
         desc = ingest.RemoteDescriptor(base_url="http://example.invalid", dataset="x", key="y")
-        monkeypatch.setattr(ingest.urllib.request, "urlopen",
+        monkeypatch.setattr(urllib.request, "urlopen",
                             lambda url, timeout: io.BytesIO(PAYLOAD.encode()))
         ingest.fetch_payload(desc, cache=tmp_path)
         sibling = tmp_path / "sibling.csv"
