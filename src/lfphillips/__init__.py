@@ -11,6 +11,7 @@ from .errors import (
 from .series import AnnualSeries, align, cumulate, log_growth, moving_average_3, shift
 from .estimate import (
     FitResult,
+    LagScore,
     LinkSpec,
     Predictor,
     cumulative_fit,

@@ -52,12 +52,16 @@ def _spec_from_args(args) -> estimate.LinkSpec:
             predictors = tuple(
                 estimate.Predictor(p["name"], p.get("lag", 0)) for p in doc["predictors"]
             )
+            shared = doc.get("shared", [])
+            if not isinstance(shared, list):
+                raise InputError(f"spec {args.spec}: \"shared\" must be a list of "
+                                 f"coefficient names, got {shared!r}")
             spec = estimate.LinkSpec(
                 response=doc["response"],
                 predictors=predictors,
                 estimator=doc.get("estimator", "ols"),
                 break_year=doc.get("break_year"),
-                shared=tuple(doc.get("shared", ())),
+                shared=tuple(shared),
                 window=doc.get("window"),
             )
         except KeyError as exc:
@@ -70,7 +74,11 @@ def _spec_from_args(args) -> estimate.LinkSpec:
         predictors = []
         for p in args.predictor:
             name, _, lag = p.partition(":")
-            predictors.append(estimate.Predictor(name, int(lag) if lag else 0))
+            try:
+                lag = int(lag) if lag else 0
+            except ValueError as exc:
+                raise InputError(f"--predictor {p!r}: lag {lag!r} is not an integer") from exc
+            predictors.append(estimate.Predictor(name, lag))
         spec = estimate.LinkSpec(
             response=args.response,
             predictors=tuple(predictors),

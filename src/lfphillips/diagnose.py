@@ -38,13 +38,18 @@ def r_squared(observed: AnnualSeries, predicted: AnnualSeries) -> float:
 
 def r_squared_values(observed: np.ndarray, predicted: np.ndarray) -> float:
     observed = np.asarray(observed, dtype=float)
-    predicted = np.asarray(predicted, dtype=float)
-    # exact constancy: round-off leaves a constant like 0.01 a tiny nonzero SST
     if np.ptp(observed) == 0.0:
         raise DomainError("observed series has zero variance")
-    sst = float(np.sum((observed - observed.mean()) ** 2))
-    sse = float(np.sum((observed - predicted) ** 2))
-    return 1.0 - sse / sst
+    return float(r_squared_stack(observed, np.asarray(predicted, dtype=float)))
+
+
+def r_squared_stack(observed: np.ndarray, predicted: np.ndarray) -> np.ndarray:
+    """1 - SSE/SST over the last axis, per slice of a stack; NaN where the
+    observed slice is exactly constant (round-off leaves a constant like 0.01
+    a tiny nonzero SST)."""
+    sst = np.sum((observed - observed.mean(axis=-1, keepdims=True)) ** 2, axis=-1)
+    sse = np.sum((observed - predicted) ** 2, axis=-1)
+    return 1.0 - sse / np.where(np.ptp(observed, axis=-1) > 0, sst, np.nan)
 
 
 def residual_sigma(residuals: AnnualSeries) -> float:

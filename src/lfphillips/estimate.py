@@ -12,8 +12,10 @@ Two estimators share one design builder and one stacked solve:
 A structural break splits the window into two segments estimated in a single
 solve; any coefficient (including the intercept) can be declared shared
 across segments, which is how the printed piecewise models with a common
-intercept or slope arise. A fit solves a stack of one design; a break-year
-scan stacks one design per candidate year and keeps only each objective SSE.
+intercept or slope arise. A fit solves a stack of one design. Scans stack
+one design per candidate and keep only what they rank: a break-year scan
+keeps each objective SSE, and a lag scan, which stacks the lags of equal
+sample length together, keeps each lag's SSEs and R^2 (``LagScore``).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from .diagnose import (
     least_squares_stack,
     matvec,
-    r_squared_values,
+    r_squared_stack,
     residual_sigma_values,
     t_pvalue,
 )
@@ -36,8 +38,9 @@ from .errors import DomainError, EstimationError, InputError
 from .series import AnnualSeries
 
 INTERCEPT = "intercept"
-# design entries per stacked solve in a break scan: bounds its working memory
+# design entries per stacked solve in a scan: bounds its working memory
 _STACK_ENTRIES = 1 << 15
+LAG_CRITERIA = ("r2_annual", "r2_cumulative")
 
 
 def _check_name(field_name: str, value) -> None:
@@ -88,7 +91,13 @@ class LinkSpec:
             raise InputError("LinkSpec needs at least one predictor")
         if self.estimator not in ("ols", "cumulative"):
             raise InputError(f"unknown estimator {self.estimator!r}")
-        names = {INTERCEPT} | {p.name for p in self.predictors}
+        pred_names = [p.name for p in self.predictors]
+        for name in pred_names:
+            # design columns and coefficient labels are keyed by series name
+            if pred_names.count(name) > 1:
+                raise InputError(f"predictor {name!r} is named more than once; "
+                                 "one series at two lags is not supported")
+        names = {INTERCEPT, *pred_names}
         for s in self.shared:
             _check_name("shared coefficient", s)
             if s not in names:
@@ -160,6 +169,22 @@ class FitResult:
         return seg.intercept if name == INTERCEPT else seg.slopes[name]
 
 
+@dataclass(frozen=True)
+class LagScore:
+    """What a lag scan ranks one lag by; each number equals the matching
+    attribute of ``fit`` at that lag."""
+
+    estimator: str
+    sse_annual: float
+    sse_cumulative: float
+    r2_annual: float
+    r2_cumulative: float
+
+    @property
+    def objective_sse(self) -> float:
+        return self.sse_cumulative if self.estimator == "cumulative" else self.sse_annual
+
+
 def _split_label(label: str) -> tuple[str, str | None]:
     if label.endswith("[pre]"):
         return label[:-5], "pre"
@@ -227,6 +252,17 @@ def _sample(spec: LinkSpec, data: Mapping[str, AnnualSeries], piecewise: bool):
     return yv, cols, years, labels
 
 
+def _fit_sample(spec: LinkSpec, data: Mapping[str, AnnualSeries]):
+    """``_sample`` for a fit of ``spec`` as given, its break year checked too."""
+    piecewise = spec.break_year is not None
+    yv, cols, years, labels = _sample(spec, data, piecewise)
+    if piecewise:
+        problem = _break_error(spec.break_year, years, labels)
+        if problem is not None:
+            raise InputError(problem)
+    return yv, cols, years, labels
+
+
 def _break_error(year: int, years: np.ndarray, labels) -> str | None:
     """Why ``year`` cannot split the window, or None when it can."""
     first, last = int(years[0]), int(years[-1])
@@ -240,10 +276,14 @@ def _break_error(year: int, years: np.ndarray, labels) -> str | None:
 
 def _design(labels, cols: Mapping[str, np.ndarray], years: np.ndarray,
             break_years: Sequence[int | None]) -> np.ndarray:
-    """(m, n, k) design stack, one slice per break year (None: no break)."""
+    """(m, n, k) design stack, one slice per break year (None: no break).
+
+    ``years`` and each column are (n,) when every slice shares them, or
+    (m, n) with one row per slice.
+    """
     # no break: every year is pre-break, which an untagged design never reads
-    cuts = [years[-1] + 1 if b is None else b for b in break_years]
-    post = years >= np.array(cuts)[:, None]
+    cuts = np.array([math.inf if b is None else b for b in break_years])
+    post = years >= cuts[:, None]
     X = np.empty(post.shape + (len(labels),))
     for j, (_, name, tag) in enumerate(labels):
         base = 1.0 if name == INTERCEPT else cols[name]
@@ -259,18 +299,19 @@ def _design(labels, cols: Mapping[str, np.ndarray], years: np.ndarray,
 def _solve(estimator: str, X: np.ndarray, yv: np.ndarray):
     """The estimator's least squares on every slice of a design stack.
 
-    Returns ``(beta, residuals, N R^-1, full_rank)`` as ``least_squares_stack``
-    does; N spans the free directions (N = I for OLS), so the classical
-    covariance is s^2 (N R^-1)(N R^-1)'.
+    ``yv`` is (m, n), or (n,) when every slice shares it. Returns ``(beta,
+    residuals, N R^-1, full_rank)`` as ``least_squares_stack`` does; N spans
+    the free directions (N = I for OLS), so the classical covariance is
+    s^2 (N R^-1)(N R^-1)'.
     """
     if estimator != "cumulative":
         return least_squares_stack(X, yv)
-    A, b = np.cumsum(X, axis=-2), np.cumsum(yv)
+    A, b = np.cumsum(X, axis=-2), np.cumsum(yv, axis=-1)
     # Eliminate the endpoint constraint c.z = d (c, d: last cumulated row):
     # z = z0 + N w, with N the trailing columns of the complete QR of c.
     # c never vanishes, because its intercept entries count observations.
     q, r = np.linalg.qr(np.swapaxes(A[:, -1:], -1, -2), mode="complete")
-    z0, nullspace = q[:, :, 0] * (b[-1] / r[:, :1, 0]), q[:, :, 1:]
+    z0, nullspace = q[:, :, 0] * (b[..., -1:] / r[:, :1, 0]), q[:, :, 1:]
     w, resid, r_inv, full_rank = least_squares_stack(A @ nullspace, b - matvec(A, z0))
     return z0 + matvec(nullspace, w), resid, nullspace @ r_inv, full_rank
 
@@ -294,16 +335,13 @@ def _build_result(spec, data, beta, stderr, dof, labels, X, yv, years) -> FitRes
     coeff = {label: float(b) for label, b in zip(names, beta)}
     segments = _segments_from_coefficients(spec, coeff, first, last)
 
-    r2_annual = r_squared_values(yv, pred) if np.ptp(yv) > 0 else float("nan")
-    r2_cum = r_squared_values(c_obs, c_pred) if np.ptp(c_obs) > 0 else float("nan")
-
     return FitResult(
         spec=spec,
         segments=segments,
         stderr={label: float(se) for label, se in zip(names, stderr)},
         pvalues=pvalues,
-        r2_annual=r2_annual,
-        r2_cumulative=r2_cum,
+        r2_annual=float(r_squared_stack(yv, pred)),
+        r2_cumulative=float(r_squared_stack(c_obs, c_pred)),
         residuals=AnnualSeries(first, resid.tolist(), label="residuals",
                                units=data[spec.response].units),
         sigma=residual_sigma_values(resid),
@@ -337,11 +375,7 @@ def _segments_from_coefficients(spec, coeff, first, last):
 
 def _fit(spec: LinkSpec, data: Mapping[str, AnnualSeries]) -> FitResult:
     """One fit: the stack of one through the scan's design and solve."""
-    yv, cols, years, labels = _sample(spec, data, spec.break_year is not None)
-    if spec.break_year is not None:
-        problem = _break_error(spec.break_year, years, labels)
-        if problem is not None:
-            raise InputError(problem)
+    yv, cols, years, labels = _fit_sample(spec, data)
     X = _design(labels, cols, years, [spec.break_year])
     beta, resid, r_inv, full_rank = _solve(spec.estimator, X, yv)
     if not full_rank[0]:
@@ -401,28 +435,63 @@ def scan_lag(
     lag_range: Sequence[int] = range(-5, 6),
     predictor: str | None = None,
     criterion: str | None = None,
-) -> tuple[list[tuple[int, FitResult]], int]:
-    """Exhaustive fit over integer lags of one predictor.
+) -> tuple[list[tuple[int, LagScore]], int]:
+    """Exhaustive scan over integer lags of one predictor, scores only.
 
-    Best lag maximizes the selection criterion (annual R^2 for OLS fits,
-    cumulative R^2 for cumulative fits, unless overridden). A NaN criterion
-    never beats a real one; exact ties, all-NaN included, go to the smallest
-    |lag|, then the negative one.
+    Each lag's sample is aligned and checked as ``fit`` checks it. The legal
+    lags are grouped by sample length (a lag moves the common window unless
+    ``window`` pins it), and each group is solved in stacked passes of at
+    most ``_STACK_ENTRIES`` design entries each. Lags with an illegal sample
+    or a rank-deficient design are dropped. Every kept lag gets a
+    ``LagScore`` equal to the matching numbers of ``fit`` at that lag; no
+    coefficient, standard error or p-value is computed. Results are in
+    candidate order, duplicates included.
+
+    Every lag must be an integer. ``predictor`` (default: the first) must be
+    one of the spec's predictors and ``criterion`` one of ``LAG_CRITERIA``
+    (default: cumulative R^2 for cumulative fits, annual R^2 otherwise); the
+    best lag maximizes it. A NaN criterion never beats a real one; exact ties,
+    all-NaN included, go to the smallest |lag|, then the negative one.
     """
-    name = predictor or spec.predictors[0].name
+    names = [p.name for p in spec.predictors]
+    name = names[0] if predictor is None else predictor
+    if name not in names:
+        raise InputError(f"lag-scan predictor {name!r} is not in the spec {names}")
     if criterion is None:
         criterion = "r2_cumulative" if spec.estimator == "cumulative" else "r2_annual"
-    results: list[tuple[int, FitResult]] = []
-    for lag in lag_range:
+    if criterion not in LAG_CRITERIA:
+        raise InputError(f"unknown lag-scan criterion {criterion!r}; use one of {LAG_CRITERIA}")
+    lags = [_integral("lag", lag) for lag in lag_range]
+    labels = _param_labels(spec, spec.break_year is not None)
+    groups: dict[int, list] = {}
+    for lag in dict.fromkeys(lags):
         try:
-            results.append((lag, fit(spec.with_lag(name, lag), data)))
+            yv, cols, years, _ = _fit_sample(spec.with_lag(name, lag), data)
         except (InputError, EstimationError):
             continue
+        groups.setdefault(len(years), []).append((lag, yv, cols, years))
+    scores: dict[int, LagScore] = {}
+    for n, members in groups.items():
+        for chunk in _passes(members, n, len(labels)):
+            scores.update(_lag_scores(spec, labels, chunk))
+    results = [(lag, scores[lag]) for lag in lags if lag in scores]
     if not results:
         raise InputError("no lag in the range yields a legal sample")
     best = max(results, key=lambda item: (_rank_value(getattr(item[1], criterion)),
                                           -abs(item[0]), -item[0]))
     return results, best[0]
+
+
+def _lag_scores(spec, labels, members) -> dict[int, LagScore]:
+    """LagScore of every full-rank lag among equal-length samples, in one stacked solve."""
+    lags, yvs, cols, years = zip(*members)
+    X = _design(labels, {p.name: np.stack([c[p.name] for c in cols]) for p in spec.predictors},
+                np.stack(years), [spec.break_year] * len(lags))
+    full_rank, annual, cumulative = _stack_curves(spec.estimator, X, np.stack(yvs))
+    rows = zip(_sse(*annual), _sse(*cumulative),
+               r_squared_stack(*annual), r_squared_stack(*cumulative))
+    return {lag: LagScore(spec.estimator, *map(float, row))
+            for lag, row, ok in zip(lags, rows, full_rank) if ok}
 
 
 def _rank_value(criterion: float) -> float:
@@ -449,10 +518,9 @@ def scan_break(
     except EstimationError as exc:  # a constant predictor fails every candidate
         raise InputError(str(exc)) from exc
     legal = [year for year in candidate_years if _break_error(year, years, labels) is None]
-    step = max(1, _STACK_ENTRIES // (len(years) * len(labels)))
     profile: list[tuple[int, float]] = []
-    for i in range(0, len(legal), step):
-        profile += _break_sse(spec.estimator, labels, cols, years, yv, legal[i:i + step])
+    for chunk in _passes(legal, len(years), len(labels)):
+        profile += _break_sse(spec.estimator, labels, cols, years, yv, chunk)
     if not profile:
         raise InputError("no candidate break year yields a legal piecewise fit")
     best = min(profile, key=lambda item: (item[1], item[0]))
@@ -462,13 +530,24 @@ def scan_break(
 def _break_sse(estimator, labels, cols, years, yv, break_years) -> list[tuple[int, float]]:
     """(year, objective SSE) of every full-rank candidate, in one stacked solve."""
     X = _design(labels, cols, years, break_years)
+    full_rank, annual, cumulative = _stack_curves(estimator, X, yv)
+    sse = _sse(*(cumulative if estimator == "cumulative" else annual))
+    return [(year, float(e)) for year, e, ok in zip(break_years, sse, full_rank) if ok]
+
+
+def _passes(candidates: list, n: int, k: int) -> list[list]:
+    """``candidates`` in consecutive chunks of at most ``_STACK_ENTRIES``
+    design entries, at n x k entries per candidate."""
+    step = max(1, _STACK_ENTRIES // (n * k))
+    return [candidates[i:i + step] for i in range(0, len(candidates), step)]
+
+
+def _stack_curves(estimator, X, yv):
+    """Solve every slice of a design stack; return its full-rank mask and its
+    annual and cumulative (observed, predicted) curves."""
     beta, _, _, full_rank = _solve(estimator, X, yv)
     pred = matvec(X, beta)
-    if estimator == "cumulative":
-        sse = _sse(np.cumsum(yv), np.cumsum(pred, axis=-1))
-    else:
-        sse = _sse(yv, pred)
-    return [(year, float(e)) for year, e, ok in zip(break_years, sse, full_rank) if ok]
+    return full_rank, (yv, pred), (np.cumsum(yv, axis=-1), np.cumsum(pred, axis=-1))
 
 
 def predict(

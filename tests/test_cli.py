@@ -414,3 +414,39 @@ class TestAtomicArtifacts:
         mode = sibling.stat().st_mode & 0o777
         assert (out / "fit.json").stat().st_mode & 0o777 == mode
         assert (out / "residuals.csv").stat().st_mode & 0o777 == mode
+
+
+class TestSpecParsing:
+    """Malformed spec fields end in exit 1 with a message naming the field."""
+
+    def run_spec(self, tmp_path, command, spec):
+        spath = tmp_path / "spec.json"
+        spath.write_text(json.dumps(spec))
+        return run("--manifest", str(DATA_DIR / "manifest.json"), "--out", str(tmp_path / "o"),
+                   command, "--spec", str(spath))
+
+    def test_shared_that_is_a_string(self, tmp_path, capsys):
+        spec = {"response": "cpi", "predictors": [{"name": "unemployment"}],
+                "break_year": 1982, "shared": "intercept"}
+        assert self.run_spec(tmp_path, "fit", spec) == 1
+        err = capsys.readouterr().err
+        assert '"shared" must be a list' in err and "'intercept'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["fit", "scan-lag"])
+    def test_one_series_at_two_lags(self, tmp_path, capsys, command):
+        spec = {"response": "cpi",
+                "predictors": [{"name": "unemployment"}, {"name": "unemployment", "lag": 1}]}
+        assert self.run_spec(tmp_path, command, spec) == 1
+        err = capsys.readouterr().err
+        assert "predictor 'unemployment' is named more than once" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["unemployment:1.5", "unemployment:x"])
+    def test_inline_predictor_with_a_bad_lag(self, tmp_path, capsys, flag):
+        assert run("--manifest", str(DATA_DIR / "manifest.json"), "--out", str(tmp_path / "o"),
+                   "scan-lag", "--response", "cpi", "--predictor", flag) == 1
+        err = capsys.readouterr().err
+        lag = flag.partition(":")[2]
+        assert f"--predictor '{flag}': lag '{lag}' is not an integer" in err
+        assert "Traceback" not in err

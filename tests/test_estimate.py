@@ -539,3 +539,147 @@ class TestSpecValidation:
         assert spec.break_year == 1990 and type(spec.break_year) is int
         assert spec.window == (1982, 2012)
         assert all(type(y) is int for y in spec.window)
+
+
+SCORE_FIELDS = ("sse_annual", "sse_cumulative", "r2_annual", "r2_cumulative")
+
+
+def assert_scores_equal_fits(spec, data, lags, predictor=None):
+    """Every kept lag's scores equal ``fit`` at that lag, bit for bit (NaN
+    matching NaN), and the dropped lags are exactly those where ``fit`` raises."""
+    name = predictor or spec.predictors[0].name
+    results, _ = scan_lag(spec, data, lags, predictor=name)
+    scores = dict(results)
+    kept = 0
+    for lag in lags:
+        try:
+            direct = fit(spec.with_lag(name, lag), data)
+        except (InputError, EstimationError):
+            assert lag not in scores, f"lag {lag} kept although fit raises"
+            continue
+        kept += 1
+        got = scores[lag]
+        for attr in SCORE_FIELDS:
+            want = getattr(direct, attr)
+            value = getattr(got, attr)
+            assert value == want or (np.isnan(want) and np.isnan(value)), \
+                f"lag {lag}: {attr} {value!r} != fit's {want!r}"
+        assert got.objective_sse == direct.objective_sse
+    return kept
+
+
+def ragged_data():
+    """y, x and z over different spans, so that unwindowed lags differ in length."""
+    x, y = generate(SynthSpec(intercept=0.01, slope=-0.9, lag=2, noise_sigma=0.003,
+                              length=45, seed=61, start_year=1970))
+    z, _ = generate(SynthSpec(intercept=0.0, slope=1.0, length=50, seed=62, start_year=1962))
+    return {"x": x, "y": y, "z": z}
+
+
+class TestLagScores:
+    @pytest.mark.parametrize("estimator", ["ols", "cumulative"])
+    @pytest.mark.parametrize("window", [None, (1985, 2005)])
+    @pytest.mark.parametrize("predictors, scanned, extra", [
+        ((Predictor("x"),), "x", {}),
+        ((Predictor("x"), Predictor("z", 1)), "z", {}),
+        ((Predictor("x"),), "x", {"break_year": 1995, "shared": ("intercept",)}),
+    ])
+    def test_scores_equal_fit_at_every_lag(self, estimator, window, predictors, scanned,
+                                           extra):
+        spec = LinkSpec("y", predictors, estimator=estimator, window=window, **extra)
+        kept = assert_scores_equal_fits(spec, ragged_data(), range(-8, 9), scanned)
+        assert kept >= 10
+
+    @pytest.mark.parametrize("estimator", ["ols", "cumulative"])
+    @pytest.mark.parametrize("window", [None, (1982, 2012)])
+    def test_japan_scores_equal_fit(self, japan, estimator, window):
+        spec = LinkSpec("cpi", (Predictor("labor_force_growth"),), estimator=estimator,
+                        window=window)
+        assert assert_scores_equal_fits(spec, japan, range(-5, 6)) == 11
+
+    @pytest.mark.parametrize("estimator", ["ols", "cumulative"])
+    def test_long_series_spans_several_passes(self, estimator):
+        x, y = generate(SynthSpec(intercept=0.01, slope=1.2, lag=3, noise_sigma=0.004,
+                                  length=4000, seed=67, start_year=1000))
+        spec = LinkSpec("y", (Predictor("x"),), estimator=estimator, window=(1100, 4900))
+        lags = range(-15, 16)
+        # every lag has the same sample length, so the one group is split into passes
+        assert 3801 * 2 * len(lags) > 2 * estimate._STACK_ENTRIES
+        assert assert_scores_equal_fits(spec, {"x": x, "y": y}, lags) == len(lags)
+        assert scan_lag(spec, {"x": x, "y": y}, lags)[1] == 3
+
+    def test_dropped_lags_are_those_fit_refuses(self):
+        # x is constant before 1990 (zero-variance windows at some lags); z is
+        # x two years earlier, so lag 2 of x against z is collinear; lags past
+        # the data leave too few observations; the break floor rejects others
+        walk, _ = generate(SynthSpec(intercept=0.0, slope=1.0, length=30, seed=71,
+                                     start_year=1990))
+        x = series([0.02] * 10 + list(walk.values), start=1980)
+        z = series(x.values, start=1982)
+        noise = np.random.default_rng(3).normal(0.0, 0.001, 40)
+        y = series(0.01 + 0.4 * np.asarray(x.values) + noise, start=1980)
+        data = {"x": x, "y": y, "z": z}
+        lags = range(-40, 41)
+        for spec in (
+            LinkSpec("y", (Predictor("x"),), window=(1980, 1992)),
+            LinkSpec("y", (Predictor("x"), Predictor("z")), estimator="cumulative"),
+            LinkSpec("y", (Predictor("x"),), break_year=2012, shared=("intercept",)),
+        ):
+            kept = assert_scores_equal_fits(spec, data, lags)
+            assert 0 < kept < len(lags)
+        with pytest.raises(EstimationError):
+            fit(LinkSpec("y", (Predictor("x", 2), Predictor("z"))), data)
+
+    def test_duplicate_and_reversed_lags_keep_their_order(self):
+        data = ragged_data()
+        spec = single_spec("cumulative")
+        forward, best = scan_lag(spec, data, range(-5, 6))
+        backward, best_rev = scan_lag(spec, data, range(5, -6, -1))
+        assert backward == forward[::-1]
+        assert best_rev == best
+        lags = [3, -2, 3, 0, -2, 99]
+        repeated, best_rep = scan_lag(spec, data, lags)
+        assert [lag for lag, _ in repeated] == [3, -2, 3, 0, -2]
+        assert repeated == [(lag, dict(forward)[lag]) for lag in lags[:-1]]
+        assert best_rep == max((3, -2, 0), key=lambda lag: dict(forward)[lag].r2_cumulative)
+
+    def test_computes_no_pvalues(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("a lag scan computed a p-value")
+
+        monkeypatch.setattr(estimate, "t_pvalue", refuse)
+        results, _ = scan_lag(single_spec(), ragged_data(), range(-5, 6))
+        assert len(results) == 11
+        assert all(isinstance(score, estimate.LagScore) for _, score in results)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"predictor": "z"}, "predictor 'z'"),
+        ({"predictor": "y"}, "predictor 'y'"),
+        ({"criterion": "sigma"}, "criterion 'sigma'"),
+        ({"criterion": "r2"}, "criterion 'r2'"),
+        ({"criterion": "objective_sse"}, "criterion 'objective_sse'"),
+    ])
+    def test_bad_predictor_or_criterion(self, kwargs, message):
+        with pytest.raises(InputError, match=message):
+            scan_lag(single_spec(), ragged_data(), range(-5, 6), **kwargs)
+
+    @pytest.mark.parametrize("lag", [1.5, "1", [1], None])
+    def test_non_integral_lag_is_refused(self, lag):
+        with pytest.raises(InputError, match="^lag must be an integer"):
+            scan_lag(single_spec(), ragged_data(), [0, lag])
+
+    def test_explicit_criterion_overrides_the_default(self):
+        data = ragged_data()
+        results, best = scan_lag(single_spec(), data, range(-5, 6), criterion="r2_cumulative")
+        assert best == max(results, key=lambda item: item[1].r2_cumulative)[0]
+
+
+class TestDuplicatePredictors:
+    @pytest.mark.parametrize("lags", [(0, 1), (2, 2)])
+    def test_one_series_named_twice_is_refused(self, lags):
+        with pytest.raises(InputError, match="predictor 'x' is named more than once"):
+            LinkSpec("y", tuple(Predictor("x", lag) for lag in lags))
+
+    def test_other_names_still_fit(self):
+        spec = LinkSpec("y", (Predictor("x"), Predictor("z", 1)))
+        assert fit(spec, ragged_data()).coefficient_table().keys() == {"intercept", "x", "z"}
