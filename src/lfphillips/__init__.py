@@ -8,7 +8,7 @@ from .errors import (
     ParseError,
     RetrievalError,
 )
-from .series import AnnualSeries, align, cumulate, log_growth, moving_average_3, shift
+from .series import AnnualSeries, align, log_growth, shift
 from .estimate import (
     FitResult,
     LagScore,
@@ -18,12 +18,11 @@ from .estimate import (
     fit,
     fit_piecewise,
     ols_fit,
-    original_phillips,
     predict,
     scan_break,
     scan_lag,
 )
-from .diagnose import AdfResult, adf_test, r_squared, residual_sigma, t_pvalue
+from .diagnose import AdfResult, adf_test, t_pvalue
 from .forecast import (
     MODEL_REGISTRY,
     ForecastResult,

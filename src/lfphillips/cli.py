@@ -4,9 +4,10 @@ Subcommands: fit, scan-lag, scan-break, diagnose, forecast, plot, fetch.
 Artifacts go to the --out directory (created if absent); inputs are never
 mutated. Exit codes: 0 success, 1 data/model error, 2 usage error.
 
-Model specs can be given as a JSON file (--spec, the canonical form, echoed
-into outputs) or assembled from inline flags. All stored values are
-fractions; percent shows up only in chart labels.
+Model specs can be given as a JSON file (--spec, the canonical form, read
+by ``LinkSpec.from_dict`` and echoed into outputs by ``LinkSpec.to_dict``) or
+assembled from inline flags; --window overrides either's window. All stored
+values are fractions; percent shows up only in chart labels.
 """
 
 from __future__ import annotations
@@ -47,27 +48,7 @@ def _parse_range(text: str) -> range:
 
 def _spec_from_args(args) -> estimate.LinkSpec:
     if args.spec:
-        doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        try:
-            predictors = tuple(
-                estimate.Predictor(p["name"], p.get("lag", 0)) for p in doc["predictors"]
-            )
-            shared = doc.get("shared", [])
-            if not isinstance(shared, list):
-                raise InputError(f"spec {args.spec}: \"shared\" must be a list of "
-                                 f"coefficient names, got {shared!r}")
-            spec = estimate.LinkSpec(
-                response=doc["response"],
-                predictors=predictors,
-                estimator=doc.get("estimator", "ols"),
-                break_year=doc.get("break_year"),
-                shared=tuple(shared),
-                window=doc.get("window"),
-            )
-        except KeyError as exc:
-            raise InputError(f"spec {args.spec}: missing key {exc}") from exc
-        except (AttributeError, TypeError) as exc:
-            raise InputError(f"spec {args.spec}: malformed ({exc})") from exc
+        spec = estimate.LinkSpec.from_dict(json.loads(Path(args.spec).read_text(encoding="utf-8")))
     else:
         if not args.response or not args.predictor:
             raise UsageError("give --spec FILE, or --response with at least one --predictor")
@@ -91,17 +72,6 @@ def _spec_from_args(args) -> estimate.LinkSpec:
     return spec
 
 
-def _spec_echo(spec: estimate.LinkSpec) -> dict:
-    return {
-        "response": spec.response,
-        "predictors": [{"name": p.name, "lag": p.lag} for p in spec.predictors],
-        "estimator": spec.estimator,
-        "break_year": spec.break_year,
-        "shared": list(spec.shared),
-        "window": list(spec.window) if spec.window else None,
-    }
-
-
 def _load_data(args) -> dict[str, AnnualSeries]:
     if not args.manifest:
         raise UsageError("--manifest is required for this command")
@@ -118,7 +88,7 @@ def _out_dir(args) -> Path:
 
 def _fit_document(result: estimate.FitResult) -> dict:
     return {
-        "spec": _spec_echo(result.spec),
+        "spec": result.spec.to_dict(),
         "window": list(result.window),
         "segments": [
             {

@@ -27,22 +27,6 @@ _BETACF_MAX_ITER = 500
 _FPMIN = 1e-300
 
 
-def r_squared(observed: AnnualSeries, predicted: AnnualSeries) -> float:
-    """Coefficient of determination 1 - SSE/SST over a common window."""
-    if observed.start_year != predicted.start_year or len(observed) != len(predicted):
-        raise InputError("observed and predicted series must cover the same years")
-    if len(observed) < 3:
-        raise InputError("need at least 3 points")
-    return r_squared_values(np.asarray(observed.values), np.asarray(predicted.values))
-
-
-def r_squared_values(observed: np.ndarray, predicted: np.ndarray) -> float:
-    observed = np.asarray(observed, dtype=float)
-    if np.ptp(observed) == 0.0:
-        raise DomainError("observed series has zero variance")
-    return float(r_squared_stack(observed, np.asarray(predicted, dtype=float)))
-
-
 def r_squared_stack(observed: np.ndarray, predicted: np.ndarray) -> np.ndarray:
     """1 - SSE/SST over the last axis, per slice of a stack; NaN where the
     observed slice is exactly constant (round-off leaves a constant like 0.01
@@ -50,13 +34,6 @@ def r_squared_stack(observed: np.ndarray, predicted: np.ndarray) -> np.ndarray:
     sst = np.sum((observed - observed.mean(axis=-1, keepdims=True)) ** 2, axis=-1)
     sse = np.sum((observed - predicted) ** 2, axis=-1)
     return 1.0 - sse / np.where(np.ptp(observed, axis=-1) > 0, sst, np.nan)
-
-
-def residual_sigma(residuals: AnnualSeries) -> float:
-    """Population (N-divisor) standard deviation of the model error."""
-    if len(residuals) < 2:
-        raise InputError("need at least 2 residuals")
-    return residual_sigma_values(np.asarray(residuals.values))
 
 
 def residual_sigma_values(residuals: np.ndarray) -> float:

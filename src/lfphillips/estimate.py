@@ -16,13 +16,16 @@ intercept or slope arise. A fit solves a stack of one design. Scans stack
 one design per candidate and keep only what they rank: a break-year scan
 keeps each objective SSE, and a lag scan, which stacks the lags of equal
 sample length together, keeps each lag's SSEs and R^2 (``LagScore``).
+
+Only ``_param_labels`` spells the coefficient labels, and only
+``LinkSpec.to_dict``/``from_dict`` know the spec JSON.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,7 +37,7 @@ from .diagnose import (
     residual_sigma_values,
     t_pvalue,
 )
-from .errors import DomainError, EstimationError, InputError
+from .errors import EstimationError, InputError
 from .series import AnnualSeries
 
 INTERCEPT = "intercept"
@@ -92,6 +95,10 @@ class LinkSpec:
         if self.estimator not in ("ols", "cumulative"):
             raise InputError(f"unknown estimator {self.estimator!r}")
         pred_names = [p.name for p in self.predictors]
+        if INTERCEPT in pred_names:
+            # _design gives every coefficient named "intercept" a column of ones
+            raise InputError(f"predictor {INTERCEPT!r} is the name of the constant term; "
+                             "rename the series")
         for name in pred_names:
             # design columns and coefficient labels are keyed by series name
             if pred_names.count(name) > 1:
@@ -117,6 +124,46 @@ class LinkSpec:
         preds = tuple(replace(p, lag=lag) if p.name == name else p for p in self.predictors)
         return replace(self, predictors=preds)
 
+    def to_dict(self) -> dict:
+        """The spec's JSON form, every field spelled out; ``from_dict`` reads it back."""
+        return {
+            "response": self.response,
+            "predictors": [{"name": p.name, "lag": p.lag} for p in self.predictors],
+            "estimator": self.estimator,
+            "break_year": self.break_year,
+            "shared": list(self.shared),
+            "window": list(self.window) if self.window else None,
+        }
+
+    @classmethod
+    def from_dict(cls, doc) -> "LinkSpec":
+        """A spec from its JSON form. ``response`` and ``predictors`` are
+        required; an unknown key or a malformed field raises InputError naming it."""
+        doc = _json_fields("spec", cls, doc)
+        if not isinstance(doc["predictors"], list):
+            raise InputError(f'"predictors" must be a list, got {doc["predictors"]!r}')
+        shared = doc.get("shared", [])
+        if not isinstance(shared, list):
+            raise InputError(f'"shared" must be a list of coefficient names, got {shared!r}')
+        predictors = tuple(Predictor(**_json_fields("predictor", Predictor, p))
+                           for p in doc["predictors"])
+        return cls(**{**doc, "predictors": predictors, "shared": tuple(shared)})
+
+
+def _json_fields(what: str, cls, doc) -> dict:
+    """``doc`` as keyword arguments of ``cls``: a JSON object that holds every
+    field of ``cls`` without a default, and no key that is not a field."""
+    if not isinstance(doc, dict):
+        raise InputError(f"{what} must be a JSON object, got {doc!r}")
+    names = [f.name for f in fields(cls)]
+    for key in doc:
+        if key not in names:
+            raise InputError(f"{what} has unknown key {key!r}; expected one of {names}")
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in doc:
+            raise InputError(f"{what} is missing {f.name!r}")
+    return doc
+
 
 @dataclass(frozen=True)
 class SegmentCoefficients:
@@ -124,9 +171,6 @@ class SegmentCoefficients:
     last_year: int
     intercept: float
     slopes: dict[str, float] = field(default_factory=dict)
-
-    def evaluate(self, predictor_values: Mapping[str, float]) -> float:
-        return self.intercept + sum(b * predictor_values[n] for n, b in self.slopes.items())
 
 
 @dataclass(frozen=True)
@@ -155,18 +199,12 @@ class FitResult:
         return self.segments[0] if year < self.segments[0].first_year else self.segments[-1]
 
     def coefficient_table(self) -> dict[str, float]:
+        """Every coefficient by label, in the solve's order."""
         out: dict[str, float] = {}
-        for label, _, _ in _param_labels(self.spec, self.spec.break_year is not None):
-            out[label] = self._lookup(label)
+        for label, name, tag in _param_labels(self.spec, self.spec.break_year is not None):
+            seg = self.segments[-1 if tag == "post" else 0]
+            out[label] = seg.intercept if name == INTERCEPT else seg.slopes[name]
         return out
-
-    def _lookup(self, label: str) -> float:
-        name, seg_tag = _split_label(label)
-        segs = self.segments if seg_tag is None else (
-            self.segments[0] if seg_tag == "pre" else self.segments[-1],
-        )
-        seg = segs[0]
-        return seg.intercept if name == INTERCEPT else seg.slopes[name]
 
 
 @dataclass(frozen=True)
@@ -183,14 +221,6 @@ class LagScore:
     @property
     def objective_sse(self) -> float:
         return self.sse_cumulative if self.estimator == "cumulative" else self.sse_annual
-
-
-def _split_label(label: str) -> tuple[str, str | None]:
-    if label.endswith("[pre]"):
-        return label[:-5], "pre"
-    if label.endswith("[post]"):
-        return label[:-6], "post"
-    return label, None
 
 
 def _param_labels(spec: LinkSpec, piecewise: bool) -> list[tuple[str, str, str | None]]:
@@ -332,12 +362,10 @@ def _build_result(spec, data, beta, stderr, dof, labels, X, yv, years) -> FitRes
     names = [label for label, _, _ in labels]
     pvalues = {label: t_pvalue(float(b) / se, dof) if se > 0 else float("nan")
                for label, b, se in zip(names, beta, stderr)}
-    coeff = {label: float(b) for label, b in zip(names, beta)}
-    segments = _segments_from_coefficients(spec, coeff, first, last)
 
     return FitResult(
         spec=spec,
-        segments=segments,
+        segments=_segments_from_coefficients(spec, labels, beta, first, last),
         stderr={label: float(se) for label, se in zip(names, stderr)},
         pvalues=pvalues,
         r2_annual=float(r_squared_stack(yv, pred)),
@@ -351,26 +379,17 @@ def _build_result(spec, data, beta, stderr, dof, labels, X, yv, years) -> FitRes
     )
 
 
-def _segments_from_coefficients(spec, coeff, first, last):
-    pred_names = [p.name for p in spec.predictors]
+def _segments_from_coefficients(spec, labels, beta, first, last):
+    """One SegmentCoefficients per segment; an untagged coefficient is in each."""
     if spec.break_year is None:
-        return (
-            SegmentCoefficients(first, last, coeff[INTERCEPT],
-                                {n: coeff[n] for n in pred_names}),
-        )
-
-    def pick(name: str, tag: str) -> float:
-        return coeff[name] if name in spec.shared else coeff[f"{name}[{tag}]"]
-
-    pre = SegmentCoefficients(
-        first, spec.break_year - 1, pick(INTERCEPT, "pre"),
-        {n: pick(n, "pre") for n in pred_names},
-    )
-    post = SegmentCoefficients(
-        spec.break_year, last, pick(INTERCEPT, "post"),
-        {n: pick(n, "post") for n in pred_names},
-    )
-    return (pre, post)
+        spans = {None: (first, last)}
+    else:
+        spans = {"pre": (first, spec.break_year - 1), "post": (spec.break_year, last)}
+    segments = []
+    for tag, (lo, hi) in spans.items():
+        coeff = {name: float(b) for (_, name, t), b in zip(labels, beta) if t in (None, tag)}
+        segments.append(SegmentCoefficients(lo, hi, coeff.pop(INTERCEPT), coeff))
+    return tuple(segments)
 
 
 def _fit(spec: LinkSpec, data: Mapping[str, AnnualSeries]) -> FitResult:
@@ -555,31 +574,32 @@ def predict(
     data: Mapping[str, AnnualSeries],
     years: Sequence[int],
 ) -> AnnualSeries:
-    """Evaluate a fitted model year by year, segment-aware around the break."""
+    """Evaluate a fitted model on consecutive years through the fit's own design.
+
+    Years before the break take the pre-break coefficients, inside the fit
+    window or not. Terms are summed left to right, intercept first, not by a
+    BLAS dot product whose order is unspecified.
+    """
     years = list(years)
     if not years:
         raise InputError("no years requested")
     if years != list(range(years[0], years[-1] + 1)):
         raise InputError("prediction years must be consecutive")
     spec = fitres.spec
-    values = []
-    for t in years:
-        row: dict[str, float] = {}
-        for p in spec.predictors:
-            if p.name not in data:
-                raise InputError(f"predictor series {p.name!r} missing from data")
-            s = data[p.name]
-            want = t - p.lag
-            if not (s.start_year <= want <= s.end_year):
-                raise InputError(f"predictor {p.name!r} missing year {want} (lag {p.lag})")
-            row[p.name] = s.value(want)
-        values.append(fitres.segment_for(t).evaluate(row))
-    return AnnualSeries(years[0], tuple(values), label=f"predicted {spec.response}",
+    cols = {}
+    for p in spec.predictors:
+        if p.name not in data:
+            raise InputError(f"predictor series {p.name!r} missing from data")
+        s = data[p.name]
+        lo, hi = years[0] - p.lag, years[-1] - p.lag
+        if lo < s.start_year or hi > s.end_year:
+            want = lo if not s.start_year <= lo <= s.end_year else s.end_year + 1
+            raise InputError(f"predictor {p.name!r} missing year {want} (lag {p.lag})")
+        cols[p.name] = np.array(s.values[lo - s.start_year:hi - s.start_year + 1])
+    labels = _param_labels(spec, spec.break_year is not None)
+    X = _design(labels, cols, np.array(years), [spec.break_year])[0]
+    acc = np.zeros(len(years))
+    for j, b in enumerate(fitres.coefficient_table().values()):
+        acc = acc + X[:, j] * b
+    return AnnualSeries(years[0], acc.tolist(), label=f"predicted {spec.response}",
                         units=fitres.residuals.units)
-
-
-def original_phillips(u_percent: float) -> float:
-    """The 1958 wage-growth curve, in percent units: -0.90 + 9.64 * u^(-1.39)."""
-    if u_percent <= 0:
-        raise DomainError(f"unemployment must be positive, got {u_percent}")
-    return -0.90 + 9.64 * u_percent ** (-1.39)

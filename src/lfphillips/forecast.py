@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import InputError
 from .series import AnnualSeries, log_growth
@@ -260,21 +260,26 @@ def load_scenario(path) -> Scenario:
     horizon = doc.get("horizon")
     if not (isinstance(horizon, list) and len(horizon) == 2):
         raise InputError("scenario needs a two-element 'horizon'")
-    horizon = (int(horizon[0]), int(horizon[1]))
+    try:
+        horizon = (int(horizon[0]), int(horizon[1]))
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"scenario 'horizon' must be two years, got {horizon!r}") from exc
     units = doc.get("units", "persons")
     if "labor_force_csv" in doc:
-        lf = read_csv_series(_resolve(p, doc["labor_force_csv"]), "labor-force", units,
+        lf = read_csv_series(_resolve(p, doc, "labor_force_csv"), "labor-force", units,
                              label="labor force")
         return build_scenario(labor_force=lf, horizon=horizon)
     if "population_csv" in doc:
-        pop = read_csv_series(_resolve(p, doc["population_csv"]), "population", units,
+        pop = read_csv_series(_resolve(p, doc, "population_csv"), "population", units,
                               label="population")
-        return build_scenario(population=pop, participation=float(doc["participation"]),
-                              horizon=horizon)
+        return build_scenario(population=pop, horizon=horizon,
+                              participation=_number(doc, "participation", float))
     if "linear" in doc:
         lin = doc["linear"]
-        y0, y1 = int(lin["start_year"]), int(lin["end_year"])
-        v0, v1 = float(lin["start"]), float(lin["end"])
+        if not isinstance(lin, dict):
+            raise InputError(f"scenario 'linear' must be an object, got {lin!r}")
+        y0, y1 = (_number(lin, key, int, "linear.") for key in ("start_year", "end_year"))
+        v0, v1 = (_number(lin, key, float, "linear.") for key in ("start", "end"))
         if y1 <= y0:
             raise InputError("linear path needs end_year > start_year")
         n = y1 - y0
@@ -284,6 +289,19 @@ def load_scenario(path) -> Scenario:
     raise InputError("scenario needs 'labor_force_csv', 'population_csv', or 'linear'")
 
 
-def _resolve(manifest_path: Path, rel: str) -> Path:
-    q = Path(rel)
-    return q if q.is_absolute() else manifest_path.parent / q
+def _number(doc: dict, key: str, kind, prefix: str = ""):
+    """``kind(doc[key])``, or InputError naming the scenario field."""
+    if key not in doc:
+        raise InputError(f"scenario needs '{prefix}{key}'")
+    try:
+        return kind(doc[key])
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"scenario '{prefix}{key}' must be a number, got {doc[key]!r}") from exc
+
+
+def _resolve(scenario_path: Path, doc: dict, key: str) -> Path:
+    """The file that ``doc[key]`` names, relative to the scenario's directory."""
+    if not isinstance(doc[key], str):
+        raise InputError(f"scenario '{key}' must be a file path, got {doc[key]!r}")
+    q = Path(doc[key])
+    return q if q.is_absolute() else scenario_path.parent / q

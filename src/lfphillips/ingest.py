@@ -268,17 +268,15 @@ def load_series(manifest: DatasetManifest, name: str, cache: Path | None = None)
 def load_all(
     manifest: DatasetManifest,
     cache: Path | None = None,
-    derive_growth: bool = True,
 ) -> dict[str, AnnualSeries]:
     """Load every manifest series; labor-force entries also get a derived
     ``<name>_growth`` series (annual log-difference) for use as a predictor."""
     from .series import log_growth
 
     data = {name: load_series(manifest, name, cache=cache) for name in manifest.names()}
-    if derive_growth:
-        for name, entry in manifest.entries.items():
-            if entry.kind == "labor-force" and len(data[name]) >= 2:
-                data[f"{name}_growth"] = log_growth(data[name]).relabel(f"{name}_growth")
+    for name, entry in manifest.entries.items():
+        if entry.kind == "labor-force" and len(data[name]) >= 2:
+            data[f"{name}_growth"] = log_growth(data[name]).relabel(f"{name}_growth")
     return data
 
 

@@ -113,31 +113,6 @@ def shift(s: AnnualSeries, lag: int) -> AnnualSeries:
     return replace(s, start_year=s.start_year + lag)
 
 
-def cumulate(s: AnnualSeries) -> AnnualSeries:
-    """Running sum: result(t) = sum of s over years <= t; first value is s(first)."""
-    out = []
-    total = 0.0
-    for v in s.values:
-        total += v
-        out.append(total)
-    units = "fraction" if s.units == "fraction-per-year" else s.units
-    return AnnualSeries(s.start_year, tuple(out), label=s.label, units=units)
-
-
-def moving_average_3(s: AnnualSeries) -> AnnualSeries:
-    """Centered MA(3); endpoints average the two available points, length preserved."""
-    n = len(s)
-    if n == 1:
-        return s
-    v = s.values
-    out = [0.0] * n
-    out[0] = (v[0] + v[1]) / 2.0
-    out[-1] = (v[-2] + v[-1]) / 2.0
-    for i in range(1, n - 1):
-        out[i] = (v[i - 1] + v[i] + v[i + 1]) / 3.0
-    return replace(s, values=tuple(out))
-
-
 def align(a: AnnualSeries, b: AnnualSeries, lag_b: int = 0) -> tuple[list[float], list[float], range]:
     """Pair a(t) with b(t - lag_b) over the common year window.
 

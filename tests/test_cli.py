@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lfphillips import forecast, ingest
 from lfphillips.cli import main
+from lfphillips.estimate import LinkSpec
 from lfphillips.oracle import SynthSpec, generate
 from tests.conftest import DATA_DIR
 
@@ -156,12 +158,30 @@ class TestMalformedJson:
         assert "predictors" in err
         assert "Traceback" not in err
 
-    def test_scenario_that_is_a_list(self, tmp_path, capsys):
+    @pytest.mark.parametrize("doc, culprit", [
+        ([1, 2], "horizon"),
+        ({"horizon": [2011, {}], "linear": {}}, "horizon"),
+        ({"horizon": [2011, 2030], "labor_force_csv": 5}, "labor_force_csv"),
+        ({"horizon": [2011, 2030], "population_csv": None, "participation": 0.6},
+         "population_csv"),
+        ({"horizon": [2011, 2030], "population_csv": "pop.csv"}, "participation"),
+        ({"horizon": [2011, 2030], "population_csv": "pop.csv", "participation": [0.6]},
+         "participation"),
+        ({"horizon": [2011, 2030], "linear": {"start_year": 2010, "start": 1e6, "end": 9e5}},
+         "linear.end_year"),
+        ({"horizon": [2011, 2030], "linear": [1, 2]}, "linear"),
+        ({"horizon": [2011, 2030],
+          "linear": {"start_year": 2010, "end_year": None, "start": 1e6, "end": 9e5}},
+         "linear.end_year"),
+    ])
+    def test_malformed_scenario(self, tmp_path, capsys, doc, culprit):
+        (tmp_path / "pop.csv").write_text(
+            "year,value\n" + "".join(f"{y},{1e8}\n" for y in range(2010, 2031)))
         spath = tmp_path / "s.json"
-        spath.write_text("[1, 2]")
+        spath.write_text(json.dumps(doc))
         assert run("--out", str(tmp_path / "o"), "forecast", "--scenario", str(spath)) == 1
         err = capsys.readouterr().err
-        assert "horizon" in err
+        assert f"'{culprit}'" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("fields, culprit", [
@@ -244,6 +264,9 @@ class TestSpecFuzz:
                        "--out", str(tmp_path / "o"), "fit", "--spec", str(spath))
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
+        if code == 0:
+            echo = json.loads((tmp_path / "o" / "fit.json").read_text())["spec"]
+            assert LinkSpec.from_dict(echo).to_dict() == echo
 
 
 class TestImports:
@@ -380,6 +403,28 @@ class TestDeterminism:
         assert outs[0] == outs[1]
         assert any(n.endswith(".svg") for n in outs[0])
 
+    # sha256 of each artifact of the eq7-eq10 forecast below; the forecast
+    # path is pure Python (math and string formatting), so these hold for
+    # every numpy version
+    FORECAST_SHA256 = {
+        "forecast_inflation.svg":
+            "ad674ce717640c61de69d5546a105e37486a977ac42360ecb8c26cff24db4c93",
+        "forecast_unemployment.svg":
+            "002ba459c3f156f5a5178821edbf553e0ea7b470a211a2b032c24f127744c19b",
+        "report.csv": "16df5e88a61ecba70e2540d7105bb2147fb77134643bff48c9d30efd493e0a9f",
+        "report.json": "606941396413c37beef2d948c8511b4be3225351060e03fcf1455eac264dd23c",
+        "scenario.csv": "c254e1dc5872a1800c0877799b8b5154e04156da166b082c35f08865fabef371",
+    }
+
+    def test_forecast_bytes_are_pinned(self, japan_scenario_path, tmp_path):
+        out = tmp_path / "o"
+        assert run("--out", str(out), "--format", "csv,json,svg",
+                   "forecast", "--scenario", str(japan_scenario_path),
+                   "--models", "eq7,eq8,eq9,eq10") == 0
+        digests = {name: hashlib.sha256(data).hexdigest()
+                   for name, data in self._artifacts(out).items()}
+        assert digests == self.FORECAST_SHA256
+
     def test_plot_byte_identical(self, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -432,6 +477,26 @@ class TestSpecParsing:
         err = capsys.readouterr().err
         assert '"shared" must be a list' in err and "'intercept'" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"response": "cpi", "predictors": [{"name": "unemployment"}], "estimatr": "cumulative"},
+         "spec has unknown key 'estimatr'"),
+        ({"response": "cpi", "predictors": [{"name": "unemployment", "lags": 1}]},
+         "predictor has unknown key 'lags'"),
+        ({"response": "cpi", "predictors": [{"name": "intercept"}]},
+         "predictor 'intercept' is the name of the constant term"),
+        ("cpi", "spec must be a JSON object"),
+        ({"predictors": [{"name": "unemployment"}]}, "spec is missing 'response'"),
+        ({"response": "cpi", "predictors": {"name": "unemployment"}},
+         '"predictors" must be a list'),
+        ({"response": "cpi", "predictors": ["unemployment"]}, "predictor must be a JSON object"),
+    ])
+    def test_refused_spec(self, tmp_path, capsys, spec, message):
+        assert self.run_spec(tmp_path, "fit", spec) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["fit", "scan-lag"])
     def test_one_series_at_two_lags(self, tmp_path, capsys, command):

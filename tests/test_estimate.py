@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lfphillips import estimate
-from lfphillips.errors import DomainError, EstimationError, InputError
+from lfphillips.errors import EstimationError, InputError
 from lfphillips.estimate import (
     LinkSpec,
     Predictor,
@@ -12,7 +12,6 @@ from lfphillips.estimate import (
     fit,
     fit_piecewise,
     ols_fit,
-    original_phillips,
     predict,
     scan_break,
     scan_lag,
@@ -357,11 +356,17 @@ class TestPredict:
         for v in p.values:
             assert v == pytest.approx(r.segments[0].intercept, abs=1e-15)
 
-    def test_refit_reproduces_fitted_values(self):
+    @pytest.mark.parametrize("spec", [
+        single_spec(),
+        LinkSpec("y", (Predictor("x"), Predictor("z", 1)), break_year=2000, shared=("z",)),
+        LinkSpec("y", (Predictor("x"), Predictor("z", 1)), estimator="cumulative",
+                 break_year=2000, shared=("z",)),
+    ])
+    def test_refit_reproduces_fitted_values(self, spec):
         x, y = generate(SynthSpec(intercept=0.01, slope=1.1, noise_sigma=0.003,
                                   length=40, seed=37))
-        data = {"x": x, "y": y}
-        r = ols_fit(single_spec(), data)
+        data = {"x": x, "y": y, "z": ragged_data()["z"]}
+        r = fit(spec, data)
         first, last = r.window
         p = predict(r, data, range(first, last + 1))
         resid = [y.value(t) - p.value(t) for t in range(first, last + 1)]
@@ -399,23 +404,6 @@ class TestScaleEquivariance:
                                                            rel=1e-9)
         assert r2.sigma == pytest.approx(3 * r1.sigma, rel=1e-9)
         assert r2.r2_annual == pytest.approx(r1.r2_annual, abs=1e-9)
-
-
-class TestOriginalPhillips:
-    def test_unit_unemployment(self):
-        assert original_phillips(1.0) == pytest.approx(8.74, abs=1e-10)
-
-    def test_asymptote(self):
-        assert original_phillips(1e9) == pytest.approx(-0.90, abs=1e-6)
-
-    def test_two_percent(self):
-        assert original_phillips(2.0) == pytest.approx(2.7785, abs=1e-3)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            original_phillips(0.0)
-        with pytest.raises(DomainError):
-            original_phillips(-1.0)
 
 
 def reference_sample(spec, data):
@@ -675,10 +663,15 @@ class TestLagScores:
 
 
 class TestDuplicatePredictors:
-    @pytest.mark.parametrize("lags", [(0, 1), (2, 2)])
-    def test_one_series_named_twice_is_refused(self, lags):
-        with pytest.raises(InputError, match="predictor 'x' is named more than once"):
-            LinkSpec("y", tuple(Predictor("x", lag) for lag in lags))
+    @pytest.mark.parametrize("predictors, message", [
+        ((("x", 0), ("x", 1)), "predictor 'x' is named more than once"),
+        ((("x", 2), ("x", 2)), "predictor 'x' is named more than once"),
+        # a series named like the constant term would get a column of ones
+        ((("intercept", 0),), "predictor 'intercept' is the name of the constant term"),
+    ])
+    def test_refused_predictor_names(self, predictors, message):
+        with pytest.raises(InputError, match=message):
+            LinkSpec("y", tuple(Predictor(name, lag) for name, lag in predictors))
 
     def test_other_names_still_fit(self):
         spec = LinkSpec("y", (Predictor("x"), Predictor("z", 1)))

@@ -8,9 +8,7 @@ from lfphillips.errors import DomainError, InputError
 from lfphillips.series import (
     AnnualSeries,
     align,
-    cumulate,
     log_growth,
-    moving_average_3,
     shift,
 )
 
@@ -120,55 +118,16 @@ class TestShift:
         assert shift(shift(s, k), -k) == s
 
 
-class TestCumulate:
-    def test_running_sum(self):
-        assert cumulate(frac(1980, [1, 2, 3])).values == (1.0, 3.0, 6.0)
-
-    def test_zeros(self):
-        assert cumulate(frac(1980, [0, 0, 0])).values == (0.0, 0.0, 0.0)
-
-    def test_hand_sum(self):
-        c = cumulate(frac(1980, [0.02, -0.01, 0.03]))
-        assert c.values == pytest.approx((0.02, 0.01, 0.04), abs=1e-15)
-
+class TestTelescoping:
     def test_telescoping_with_log_growth(self):
         lf = persons(1980, [100.0, 103.5, 99.2, 120.0, 118.1])
-        c = cumulate(log_growth(lf))
         expected = math.log(lf.values[-1]) - math.log(lf.values[0])
-        assert c.values[-1] == pytest.approx(expected, abs=1e-12)
+        assert sum(log_growth(lf).values) == pytest.approx(expected, abs=1e-12)
 
     @given(st.lists(st.floats(1.0, 1e6), min_size=2, max_size=30))
     def test_telescoping_property(self, levels):
-        lf = persons(1980, levels)
-        c = cumulate(log_growth(lf))
-        assert c.values[-1] == pytest.approx(
-            math.log(levels[-1]) - math.log(levels[0]), abs=1e-10
-        )
-
-
-class TestMovingAverage3:
-    def test_constants_fixed_point(self):
-        s = frac(1980, [2.5] * 4)
-        assert moving_average_3(s).values == (2.5, 2.5, 2.5, 2.5)
-
-    def test_endpoint_rule(self):
-        m = moving_average_3(frac(1980, [0, 3, 0]))
-        assert m.values == pytest.approx((1.5, 1.0, 1.5), abs=1e-15)
-
-    def test_single_point(self):
-        s = frac(1980, [7.0])
-        assert moving_average_3(s).values == (7.0,)
-
-    def test_length_preserved(self):
-        s = frac(1980, [1, 5, 2, 8, 3])
-        assert len(moving_average_3(s)) == len(s)
-
-    @given(st.lists(st.floats(-100, 100), min_size=1, max_size=30))
-    def test_stays_within_range(self, values):
-        s = frac(1980, values)
-        m = moving_average_3(s)
-        lo, hi = min(values), max(values)
-        assert all(lo - 1e-9 <= v <= hi + 1e-9 for v in m.values)
+        total = sum(log_growth(persons(1980, levels)).values)
+        assert total == pytest.approx(math.log(levels[-1]) - math.log(levels[0]), abs=1e-10)
 
 
 class TestAlign:
