@@ -8,7 +8,7 @@ from .errors import (
     ParseError,
     RetrievalError,
 )
-from .series import AnnualSeries, align, log_growth, shift
+from .series import AnnualSeries, align, log_growth
 from .estimate import (
     FitResult,
     LagScore,
@@ -29,9 +29,7 @@ from .forecast import (
     ModelRegistryEntry,
     Scenario,
     build_scenario,
-    forecast_inflation,
     forecast_report,
-    forecast_unemployment,
 )
 from .ingest import (
     DatasetManifest,

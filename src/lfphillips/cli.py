@@ -221,7 +221,7 @@ def cmd_plot(args) -> int:
     style = svg.ChartStyle(title=args.title or ",".join(names), percent_axis=True)
     regression = None
     if args.mode == "scatter" and args.regression:
-        xs, ys, _ = align(chosen[0], chosen[1])
+        (xs, ys), _ = align([(chosen[0], 0), (chosen[1], 0)])
         beta, _, _ = diag.least_squares(np.column_stack([np.ones(len(xs)), xs]), ys)
         regression = (float(beta[0]), float(beta[1]))
     doc = svg.line_chart(chosen, style=style, scatter=args.mode == "scatter",

@@ -38,7 +38,7 @@ from .diagnose import (
     t_pvalue,
 )
 from .errors import EstimationError, InputError
-from .series import AnnualSeries
+from .series import AnnualSeries, align
 
 INTERCEPT = "intercept"
 # design entries per stacked solve in a scan: bounds its working memory
@@ -77,8 +77,9 @@ class LinkSpec:
     """Declarative description of one lagged linear link.
 
     ``shared`` lists coefficients ("intercept" or a predictor name) that are
-    constrained equal across the two break segments; it is only meaningful
-    when ``break_year`` is set. ``window`` restricts the response years.
+    constrained equal across the two break segments. A fit or lag scan
+    refuses it without ``break_year``; ``scan_break`` supplies the break
+    years itself. ``window`` restricts the response years.
     """
 
     response: str
@@ -191,13 +192,6 @@ class FitResult:
     def objective_sse(self) -> float:
         return self.sse_cumulative if self.spec.estimator == "cumulative" else self.sse_annual
 
-    def segment_for(self, year: int) -> SegmentCoefficients:
-        for seg in self.segments:
-            if seg.first_year <= year <= seg.last_year:
-                return seg
-        # outside the fit window: extrapolate with the nearest segment
-        return self.segments[0] if year < self.segments[0].first_year else self.segments[-1]
-
     def coefficient_table(self) -> dict[str, float]:
         """Every coefficient by label, in the solve's order."""
         out: dict[str, float] = {}
@@ -239,31 +233,16 @@ def _param_labels(spec: LinkSpec, piecewise: bool) -> list[tuple[str, str, str |
 
 
 def _aligned_sample(spec: LinkSpec, data: Mapping[str, AnnualSeries]):
-    """Response vector, per-predictor columns, and the common year window.
-
-    A predictor lagged by k contributes its value at year t - k to year t, so
-    its aligned start year is its own start plus k; every vector is then one
-    slice of its series' values.
-    """
+    """Response vector, per-predictor columns, and the common year window."""
     if spec.response not in data:
         raise InputError(f"response series {spec.response!r} missing from data")
-    y = data[spec.response]
-    aligned = [(y, y.start_year)]
+    pairs = [(data[spec.response], 0)]
     for p in spec.predictors:
         if p.name not in data:
             raise InputError(f"predictor series {p.name!r} missing from data")
-        s = data[p.name]
-        aligned.append((s, s.start_year + p.lag))
-    first = max(start for _, start in aligned)
-    last = min(start + len(s) - 1 for s, start in aligned)
-    if spec.window is not None:
-        first = max(first, spec.window[0])
-        last = min(last, spec.window[1])
-    if first > last:
-        raise InputError("empty aligned sample; check lags and window")
-    yv, *xs = [np.array(s.values[first - start:last - start + 1]) for s, start in aligned]
-    cols = {p.name: x for p, x in zip(spec.predictors, xs)}
-    return yv, cols, np.arange(first, last + 1)
+        pairs.append((data[p.name], p.lag))
+    (yv, *xs), years = align(pairs, spec.window)
+    return yv, {p.name: x for p, x in zip(spec.predictors, xs)}, years
 
 
 def _sample(spec: LinkSpec, data: Mapping[str, AnnualSeries], piecewise: bool):
@@ -280,6 +259,13 @@ def _sample(spec: LinkSpec, data: Mapping[str, AnnualSeries], piecewise: bool):
     if len(years) < len(labels) + 2:
         raise InputError(f"sample of {len(years)} too small for {len(labels)} coefficients")
     return yv, cols, years, labels
+
+
+def _check_shared(spec: LinkSpec) -> None:
+    """Refuse ``shared`` without a break year in a fit or lag scan, which would ignore it."""
+    if spec.shared and spec.break_year is None:
+        raise InputError(f'"shared" {list(spec.shared)} needs a "break_year"; '
+                         "without a break there is nothing to share")
 
 
 def _fit_sample(spec: LinkSpec, data: Mapping[str, AnnualSeries]):
@@ -394,6 +380,7 @@ def _segments_from_coefficients(spec, labels, beta, first, last):
 
 def _fit(spec: LinkSpec, data: Mapping[str, AnnualSeries]) -> FitResult:
     """One fit: the stack of one through the scan's design and solve."""
+    _check_shared(spec)
     yv, cols, years, labels = _fit_sample(spec, data)
     X = _design(labels, cols, years, [spec.break_year])
     beta, resid, r_inv, full_rank = _solve(spec.estimator, X, yv)
@@ -480,6 +467,7 @@ def scan_lag(
         criterion = "r2_cumulative" if spec.estimator == "cumulative" else "r2_annual"
     if criterion not in LAG_CRITERIA:
         raise InputError(f"unknown lag-scan criterion {criterion!r}; use one of {LAG_CRITERIA}")
+    _check_shared(spec)
     lags = [_integral("lag", lag) for lag in lag_range]
     labels = _param_labels(spec, spec.break_year is not None)
     groups: dict[int, list] = {}
@@ -590,12 +578,14 @@ def predict(
     for p in spec.predictors:
         if p.name not in data:
             raise InputError(f"predictor series {p.name!r} missing from data")
-        s = data[p.name]
-        lo, hi = years[0] - p.lag, years[-1] - p.lag
-        if lo < s.start_year or hi > s.end_year:
-            want = lo if not s.start_year <= lo <= s.end_year else s.end_year + 1
-            raise InputError(f"predictor {p.name!r} missing year {want} (lag {p.lag})")
-        cols[p.name] = np.array(s.values[lo - s.start_year:hi - s.start_year + 1])
+        try:
+            (cols[p.name],), got = align([(data[p.name], p.lag)], (years[0], years[-1]))
+        except InputError:
+            got = []
+        if len(got) < len(years):
+            # the first requested year t whose x(t - lag) the series lacks
+            want = got[-1] + 1 if len(got) and got[0] == years[0] else years[0]
+            raise InputError(f"predictor {p.name!r} missing year {want - p.lag} (lag {p.lag})")
     labels = _param_labels(spec, spec.break_year is not None)
     X = _design(labels, cols, np.array(years), [spec.break_year])[0]
     acc = np.zeros(len(years))

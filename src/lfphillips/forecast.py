@@ -4,6 +4,8 @@ The registry freezes the printed Japan models as constants, kept separate
 from anything refitted on data, so "reproduce the published numbers" and
 "refit on current data" stay distinguishable. The causal chain runs one way:
 labor force drives inflation and unemployment, with no feedback.
+``forecast_report`` is the one way a registry model is evaluated, and
+``load_scenario`` refuses a scenario key it does not know.
 """
 
 from __future__ import annotations
@@ -67,8 +69,6 @@ class ModelRegistryEntry:
     identifier: str
     response: str  # "cpi-inflation" | "dgdp-inflation" | "unemployment"
     segments: tuple[tuple[tuple[int | None, int | None], dict[str, float]], ...]
-    break_year: int | None = None
-    needs_unemployment: bool = False
 
     def coefficients_for(self, year: int) -> dict[str, float]:
         for (first, last), coeff in self.segments:
@@ -84,7 +84,6 @@ MODEL_REGISTRY: dict[str, ModelRegistryEntry] = {
         identifier="eq6",
         response="unemployment",
         segments=((((None, None)), {"intercept": 0.044, "pi": -1.10}),),
-        needs_unemployment=False,
     ),
     # CPI inflation on labor-force growth, zero lag
     "eq7": ModelRegistryEntry(
@@ -106,7 +105,6 @@ MODEL_REGISTRY: dict[str, ModelRegistryEntry] = {
             ((None, 1976), {"intercept": 0.0432, "l": -0.179}),
             ((1977, None), {"intercept": 0.0432, "l": -1.556}),
         ),
-        break_year=1977,
     ),
     # generalized inflation model on growth and unemployment, 1982 break
     "eq10": ModelRegistryEntry(
@@ -116,8 +114,6 @@ MODEL_REGISTRY: dict[str, ModelRegistryEntry] = {
             ((None, 1981), {"intercept": 0.161, "l": -10.0, "u": 0.9}),
             ((1982, None), {"intercept": -0.0392, "l": 2.80, "u": 0.9}),
         ),
-        break_year=1982,
-        needs_unemployment=True,
     ),
 }
 
@@ -147,26 +143,6 @@ def _evaluate(model: ModelRegistryEntry, scenario: Scenario,
     return AnnualSeries(first, tuple(values), label=model.identifier, units=units)
 
 
-def forecast_unemployment(model: ModelRegistryEntry, scenario: Scenario) -> AnnualSeries:
-    """Unemployment path from scenario growth; segments selected by calendar year."""
-    if model.response != "unemployment":
-        raise InputError(f"model {model.identifier} does not predict unemployment")
-    return _evaluate(model, scenario, unemployment=None)
-
-
-def forecast_inflation(
-    model: ModelRegistryEntry,
-    scenario: Scenario,
-    unemployment: AnnualSeries | None = None,
-) -> AnnualSeries:
-    """Inflation path from scenario growth (plus an unemployment path for eq10-style models)."""
-    if model.response == "unemployment":
-        raise InputError(f"model {model.identifier} predicts unemployment, not inflation")
-    if model.needs_unemployment and unemployment is None:
-        raise InputError(f"model {model.identifier} needs a companion unemployment path")
-    return _evaluate(model, scenario, unemployment=unemployment)
-
-
 @dataclass(frozen=True)
 class ForecastResult:
     scenario: Scenario
@@ -194,12 +170,12 @@ def forecast_report(
     unemployment: dict[str, AnnualSeries] = {}
     for m in models:
         if m.response == "unemployment":
-            unemployment[m.identifier] = forecast_unemployment(m, scenario)
+            unemployment[m.identifier] = _evaluate(m, scenario, None)
     companion = next(iter(unemployment.values()), None)
     inflation: dict[str, AnnualSeries] = {}
     for m in models:
         if m.response != "unemployment":
-            inflation[m.identifier] = forecast_inflation(m, scenario, unemployment=companion)
+            inflation[m.identifier] = _evaluate(m, scenario, companion)
     return ForecastResult(scenario=scenario, inflation=inflation, unemployment=unemployment)
 
 
@@ -247,6 +223,7 @@ def load_scenario(path) -> Scenario:
     Schema: {"horizon": [y1, y2], "labor_force_csv": "...", "units": "..."} or
     {"horizon": ..., "population_csv": "...", "units": ..., "participation": r} or
     {"horizon": ..., "linear": {"start_year": y, "end_year": y, "start": v, "end": v}}.
+    A key outside the schema raises InputError naming it.
     """
     from .ingest import read_csv_series
 
@@ -257,6 +234,8 @@ def load_scenario(path) -> Scenario:
         raise InputError(f"cannot read scenario {p}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"scenario {p}: expected an object with a 'horizon' key")
+    _known_keys(doc, ("horizon", "labor_force_csv", "population_csv", "units",
+                      "participation", "linear"))
     horizon = doc.get("horizon")
     if not (isinstance(horizon, list) and len(horizon) == 2):
         raise InputError("scenario needs a two-element 'horizon'")
@@ -278,6 +257,7 @@ def load_scenario(path) -> Scenario:
         lin = doc["linear"]
         if not isinstance(lin, dict):
             raise InputError(f"scenario 'linear' must be an object, got {lin!r}")
+        _known_keys(lin, ("start_year", "end_year", "start", "end"), "linear.")
         y0, y1 = (_number(lin, key, int, "linear.") for key in ("start_year", "end_year"))
         v0, v1 = (_number(lin, key, float, "linear.") for key in ("start", "end"))
         if y1 <= y0:
@@ -287,6 +267,14 @@ def load_scenario(path) -> Scenario:
         lf = AnnualSeries(y0, values, label="labor force", units="persons")
         return build_scenario(labor_force=lf, horizon=horizon)
     raise InputError("scenario needs 'labor_force_csv', 'population_csv', or 'linear'")
+
+
+def _known_keys(doc: dict, names: tuple[str, ...], prefix: str = "") -> None:
+    """InputError naming the first key of ``doc`` that is not one of ``names``."""
+    for key in doc:
+        if key not in names:
+            raise InputError(f"scenario has unknown key '{prefix}{key}'; "
+                             f"expected one of {list(names)}")
 
 
 def _number(doc: dict, key: str, kind, prefix: str = ""):

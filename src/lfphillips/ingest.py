@@ -10,7 +10,6 @@ are offline.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 from dataclasses import dataclass
@@ -88,13 +87,14 @@ class DatasetManifest:
 def read_csv_series(source, kind: str, units: str, label: str = "") -> AnnualSeries:
     """Parse a ``year,value`` CSV into an AnnualSeries in internal units.
 
-    ``source`` is a path, a file object, or the CSV text itself.
+    ``source`` is a path (``os.PathLike``), which is read as a file, or a
+    ``str``, which is the CSV text itself.
     """
     if kind not in KINDS:
         raise InputError(f"unknown series kind {kind!r}")
     if units not in SOURCE_UNITS:
         raise InputError(f"unknown units {units!r}")
-    text = _read_text(source)
+    text = Path(source).read_text(encoding="utf-8") if isinstance(source, os.PathLike) else source
     lines = text.replace("\r\n", "\n").strip("\n").split("\n")
     if not lines or lines[0].strip().lower() != "year,value":
         raise InputError("row 1: expected header 'year,value'")
@@ -122,17 +122,6 @@ def read_csv_series(source, kind: str, units: str, label: str = "") -> AnnualSer
     if not years:
         raise InputError("no data rows")
     return AnnualSeries(years[0], tuple(values), label=label, units=_KIND_UNITS[kind])
-
-
-def _read_text(source) -> str:
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
-        return Path(source).read_text(encoding="utf-8")
-    if isinstance(source, str):
-        return source
-    if isinstance(source, io.IOBase) or hasattr(source, "read"):
-        data = source.read()
-        return data.decode("utf-8") if isinstance(data, bytes) else data
-    raise InputError(f"unsupported source {type(source).__name__}")
 
 
 def cache_dir() -> Path:
@@ -294,10 +283,9 @@ def participation_labor_force(population: AnnualSeries, rate: float) -> AnnualSe
     )
 
 
-def write_csv_series(s: AnnualSeries, path, percent: bool = False) -> None:
+def write_csv_series(s: AnnualSeries, path) -> None:
     """Write back in the on-disk CSV format (repr round-trips floats exactly)."""
-    scale = 100.0 if percent else 1.0
     lines = ["year,value"]
     for year, value in zip(s.years, s.values):
-        lines.append(f"{year},{value * scale!r}")
+        lines.append(f"{year},{value!r}")
     write_atomic(path, "\n".join(lines) + "\n")

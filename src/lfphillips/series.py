@@ -4,12 +4,18 @@ The carrier type is :class:`AnnualSeries`: a year-indexed, gap-free vector of
 floats with a units tag. All rate-typed values are dimensionless fractions
 (0.05 means 5% per year); percent exists only at the ingest and plotting
 boundaries. Every operation here is a pure function returning a new series.
+
+``align`` is the one rule that pairs series by year and lag: every fit,
+scan, prediction and scatter chart takes its aligned values from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
+
+import numpy as np
 
 from .errors import DomainError, InputError
 
@@ -70,21 +76,6 @@ class AnnualSeries:
     def relabel(self, label: str) -> "AnnualSeries":
         return replace(self, label=label)
 
-    def __add__(self, other: "AnnualSeries") -> "AnnualSeries":
-        return self._combine(other, lambda a, b: a + b)
-
-    def __sub__(self, other: "AnnualSeries") -> "AnnualSeries":
-        return self._combine(other, lambda a, b: a - b)
-
-    def _combine(self, other, op) -> "AnnualSeries":
-        if not isinstance(other, AnnualSeries):
-            return NotImplemented
-        if other.units != self.units:
-            raise InputError(f"units mismatch: {self.units} vs {other.units}")
-        if other.start_year != self.start_year or len(other) != len(self):
-            raise InputError("year ranges differ; align the series first")
-        return replace(self, values=tuple(op(a, b) for a, b in zip(self.values, other.values)))
-
     def scale(self, factor: float) -> "AnnualSeries":
         return replace(self, values=tuple(v * factor for v in self.values))
 
@@ -108,23 +99,21 @@ def log_growth(lf: AnnualSeries) -> AnnualSeries:
     return AnnualSeries(lf.start_year + 1, vals, label=lf.label, units="fraction-per-year")
 
 
-def shift(s: AnnualSeries, lag: int) -> AnnualSeries:
-    """Re-index: the value formerly at year y moves to year y + lag."""
-    return replace(s, start_year=s.start_year + lag)
+def align(pairs: Sequence[tuple[AnnualSeries, int]],
+          window: tuple[int, int] | None = None) -> tuple[list[np.ndarray], np.ndarray]:
+    """The value of each series at t - lag for every year t that all of them cover.
 
-
-def align(a: AnnualSeries, b: AnnualSeries, lag_b: int = 0) -> tuple[list[float], list[float], range]:
-    """Pair a(t) with b(t - lag_b) over the common year window.
-
-    Returns (a_values, b_values, years) where years is the overlap of a with
-    shift(b, lag_b).
+    ``pairs`` are (series, lag) pairs; ``window`` clips the years to
+    first..last (inclusive). A series lagged by k covers its own years plus
+    k, so its values are one slice of the series. Returns that slice for
+    each pair, in order, and the years. No year left raises InputError.
     """
-    bs = shift(b, lag_b)
-    first = max(a.start_year, bs.start_year)
-    last = min(a.end_year, bs.end_year)
+    aligned = [(s, s.start_year + lag) for s, lag in pairs]
+    first = max(start for _, start in aligned)
+    last = min(start + len(s) - 1 for s, start in aligned)
+    if window is not None:
+        first, last = max(first, window[0]), min(last, window[1])
     if first > last:
-        raise InputError(
-            f"no overlap between {a.start_year}..{a.end_year} and shifted {bs.start_year}..{bs.end_year}"
-        )
-    years = range(first, last + 1)
-    return [a.value(y) for y in years], [bs.value(y) for y in years], years
+        raise InputError("empty aligned sample; check lags and window")
+    values = [np.array(s.values[first - start:last - start + 1]) for s, start in aligned]
+    return values, np.arange(first, last + 1)

@@ -2,7 +2,10 @@
 
 Charts are emitted as plain SVG text with fixed-precision coordinates, so
 identical inputs always produce byte-identical documents and golden-file
-diffs stay meaningful. No plotting library is involved.
+diffs stay meaningful. No plotting library is involved. Every chart has the
+same size and plot area; ``ChartStyle`` holds only what callers set. A time
+chart labels its x axis "year" and its y axis ``y_label``; a scatter chart
+labels each axis with the label of the series it plots.
 """
 
 from __future__ import annotations
@@ -12,22 +15,18 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InputError
-from .series import AnnualSeries
+from .series import AnnualSeries, align
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_WIDTH, _HEIGHT = 720, 440
+# plot area in pixels: left, top, right and bottom edges
+_FRAME = (64, 32, _WIDTH - 16, _HEIGHT - 48)
 
 
 @dataclass(frozen=True)
 class ChartStyle:
-    width: int = 720
-    height: int = 440
-    margin_left: int = 64
-    margin_right: int = 16
-    margin_top: int = 32
-    margin_bottom: int = 48
     title: str = ""
-    x_label: str = "year"
-    y_label: str = ""
+    y_label: str = ""  # time charts only
     percent_axis: bool = False  # label y ticks as percent while data stays fractional
 
 
@@ -84,23 +83,23 @@ def line_chart(
     return _time_chart(series, style)
 
 
-def _frame(style: ChartStyle):
-    x0 = style.margin_left
-    y0 = style.margin_top
-    x1 = style.width - style.margin_right
-    y1 = style.height - style.margin_bottom
-    return x0, y0, x1, y1
+def _padded(lo: float, hi: float) -> tuple[float, float]:
+    """lo..hi widened by 1 each way when flat, then padded by 5% at each end."""
+    if hi == lo:
+        lo, hi = lo - 1.0, hi + 1.0
+    pad = 0.05 * (hi - lo)
+    return lo - pad, hi + pad
 
 
 def _header(style: ChartStyle) -> list[str]:
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{style.width}" '
-        f'height="{style.height}" viewBox="0 0 {style.width} {style.height}">',
-        f'<rect width="{style.width}" height="{style.height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     if style.title:
         parts.append(
-            f'<text x="{style.width // 2}" y="20" text-anchor="middle" '
+            f'<text x="{_WIDTH // 2}" y="20" text-anchor="middle" '
             f'font-family="sans-serif" font-size="14">{_escape(style.title)}</text>'
         )
     return parts
@@ -110,8 +109,9 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _axes(style: ChartStyle, x_ticks, y_ticks, sx, sy, x_percent=False) -> list[str]:
-    x0, y0, x1, y1 = _frame(style)
+def _axes(style: ChartStyle, x_ticks, y_ticks, sx, sy, x_title: str, y_title: str,
+          x_percent=False) -> list[str]:
+    x0, y0, x1, y1 = _FRAME
     parts = [
         f'<line x1="{x0}" y1="{y1}" x2="{x1}" y2="{y1}" stroke="black"/>',
         f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>',
@@ -130,22 +130,22 @@ def _axes(style: ChartStyle, x_ticks, y_ticks, sx, sy, x_percent=False) -> list[
             f'<text x="{x0 - 8}" y="{_fmt(py + 4)}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{_tick_label(t, style.percent_axis)}</text>'
         )
-    if style.x_label:
+    if x_title:
         parts.append(
-            f'<text x="{(x0 + x1) // 2}" y="{style.height - 8}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{_escape(style.x_label)}</text>'
+            f'<text x="{(x0 + x1) // 2}" y="{_HEIGHT - 8}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="12">{_escape(x_title)}</text>'
         )
-    if style.y_label:
+    if y_title:
         parts.append(
             f'<text x="14" y="{(y0 + y1) // 2}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 14 {(y0 + y1) // 2})">{_escape(style.y_label)}</text>'
+            f'transform="rotate(-90 14 {(y0 + y1) // 2})">{_escape(y_title)}</text>'
         )
     return parts
 
 
-def _legend(style: ChartStyle, labels: Sequence[str]) -> list[str]:
-    x0, y0, x1, _ = _frame(style)
+def _legend(labels: Sequence[str]) -> list[str]:
+    x0, y0, _, _ = _FRAME
     parts = []
     for i, label in enumerate(labels):
         color = _PALETTE[i % len(_PALETTE)]
@@ -160,16 +160,10 @@ def _legend(style: ChartStyle, labels: Sequence[str]) -> list[str]:
 
 
 def _time_chart(series: Sequence[AnnualSeries], style: ChartStyle) -> str:
-    x0, y0, x1, y1 = _frame(style)
+    x0, y0, x1, y1 = _FRAME
     lo_year = min(s.start_year for s in series)
     hi_year = max(s.end_year for s in series)
-    lo_v = min(min(s.values) for s in series)
-    hi_v = max(max(s.values) for s in series)
-    if hi_v == lo_v:
-        lo_v, hi_v = lo_v - 1.0, hi_v + 1.0
-    pad = 0.05 * (hi_v - lo_v)
-    lo_v -= pad
-    hi_v += pad
+    lo_v, hi_v = _padded(min(min(s.values) for s in series), max(max(s.values) for s in series))
     span_years = max(hi_year - lo_year, 1)
 
     def sx(year: float) -> float:
@@ -179,12 +173,13 @@ def _time_chart(series: Sequence[AnnualSeries], style: ChartStyle) -> str:
         return y1 - (v - lo_v) / (hi_v - lo_v) * (y1 - y0)
 
     parts = _header(style)
-    parts += _axes(style, _year_ticks(lo_year, hi_year), _nice_ticks(lo_v, hi_v), sx, sy)
+    parts += _axes(style, _year_ticks(lo_year, hi_year), _nice_ticks(lo_v, hi_v), sx, sy,
+                   "year", style.y_label)
     for i, s in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         points = " ".join(f"{_fmt(sx(y))},{_fmt(sy(v))}" for y, v in zip(s.years, s.values))
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{points}"/>')
-    parts += _legend(style, [s.label for s in series])
+    parts += _legend([s.label for s in series])
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -205,25 +200,17 @@ def _scatter_chart(series: Sequence[AnnualSeries], style: ChartStyle,
                    regression: tuple[float, float] | None) -> str:
     if len(series) != 2:
         raise InputError("scatter mode needs exactly two series (x then y)")
-    from .series import align
-
-    xs, ys, _ = align(series[0], series[1])
+    xs, ys = (v.tolist() for v in align([(series[0], 0), (series[1], 0)])[0])
     # axes: x from first series, y from second; units may differ per axis
-    x0, y0, x1, y1 = _frame(style)
+    x0, y0, x1, y1 = _FRAME
     lo_x, hi_x = min(xs), max(xs)
     lo_y, hi_y = min(ys), max(ys)
     if regression is not None:
         a, b = regression
         lo_y = min(lo_y, a + b * lo_x, a + b * hi_x)
         hi_y = max(hi_y, a + b * lo_x, a + b * hi_x)
-    if hi_x == lo_x:
-        lo_x, hi_x = lo_x - 1.0, hi_x + 1.0
-    if hi_y == lo_y:
-        lo_y, hi_y = lo_y - 1.0, hi_y + 1.0
-    pad_x = 0.05 * (hi_x - lo_x)
-    pad_y = 0.05 * (hi_y - lo_y)
-    lo_x, hi_x = lo_x - pad_x, hi_x + pad_x
-    lo_y, hi_y = lo_y - pad_y, hi_y + pad_y
+    lo_x, hi_x = _padded(lo_x, hi_x)
+    lo_y, hi_y = _padded(lo_y, hi_y)
 
     def sx(v: float) -> float:
         return x0 + (v - lo_x) / (hi_x - lo_x) * (x1 - x0)
@@ -233,7 +220,7 @@ def _scatter_chart(series: Sequence[AnnualSeries], style: ChartStyle,
 
     parts = _header(style)
     parts += _axes(style, _nice_ticks(lo_x, hi_x), _nice_ticks(lo_y, hi_y), sx, sy,
-                   x_percent=style.percent_axis)
+                   series[0].label, series[1].label, x_percent=style.percent_axis)
     for xv, yv in zip(xs, ys):
         parts.append(f'<circle cx="{_fmt(sx(xv))}" cy="{_fmt(sy(yv))}" r="3" '
                      f'fill="{_PALETTE[0]}"/>')
@@ -244,6 +231,6 @@ def _scatter_chart(series: Sequence[AnnualSeries], style: ChartStyle,
             f'x2="{_fmt(sx(hi_x))}" y2="{_fmt(sy(a + b * hi_x))}" '
             f'stroke="{_PALETTE[1]}" stroke-width="2"/>'
         )
-    parts += _legend(style, [series[0].label, series[1].label])
+    parts += _legend([series[0].label, series[1].label])
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -85,7 +85,7 @@ def test_criterion_2_estimators_match_oracles():
             x, y = generate(SynthSpec(intercept=0.005, slope=1.4, noise_sigma=0.003,
                                       length=40, seed=seed))
             data = {"x": x, "y": y}
-            ys, xs, _ = align(y, x)
+            (ys, xs), _ = align([(y, 0), (x, 0)])
             # annual least squares vs explicit normal equations
             r = ols_fit(LinkSpec("y", (Predictor("x"),)), data)
             beta = brute_force_ols(np.column_stack([np.ones(len(xs)), xs]),

@@ -173,6 +173,12 @@ class TestMalformedJson:
         ({"horizon": [2011, 2030],
           "linear": {"start_year": 2010, "end_year": None, "start": 1e6, "end": 9e5}},
          "linear.end_year"),
+        ({"horizon": [2011, 2030], "linear": {"start_year": 2010, "end_year": 2030,
+                                              "start": 1e6, "end": 9e5}, "unit": "thousands"},
+         "unit"),
+        ({"horizon": [2011, 2030], "linear": {"start_year": 2010, "end_year": 2030,
+                                              "start": 1e6, "end": 9e5, "stop": 2020}},
+         "linear.stop"),
     ])
     def test_malformed_scenario(self, tmp_path, capsys, doc, culprit):
         (tmp_path / "pop.csv").write_text(
@@ -425,6 +431,17 @@ class TestDeterminism:
                    for name, data in self._artifacts(out).items()}
         assert digests == self.FORECAST_SHA256
 
+    # sha256 of the scatter chart below; like the forecast charts, it is drawn
+    # without numpy arithmetic
+    SCATTER_SHA256 = "b42d8f45a82ccd7b201429c22dc36bfd587bedc18618471a81e4362ff47cc89c"
+
+    def test_scatter_bytes_are_pinned(self, tmp_path):
+        out = tmp_path / "o"
+        assert run("--manifest", str(DATA_DIR / "manifest.json"), "--out", str(out),
+                   "plot", "--series", "unemployment,cpi", "--mode", "scatter") == 0
+        digest = hashlib.sha256((out / "chart.svg").read_bytes()).hexdigest()
+        assert digest == self.SCATTER_SHA256
+
     def test_plot_byte_identical(self, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -490,6 +507,8 @@ class TestSpecParsing:
         ({"response": "cpi", "predictors": {"name": "unemployment"}},
          '"predictors" must be a list'),
         ({"response": "cpi", "predictors": ["unemployment"]}, "predictor must be a JSON object"),
+        ({"response": "cpi", "predictors": [{"name": "unemployment"}], "shared": ["intercept"]},
+         '"shared" [\'intercept\'] needs a "break_year"'),
     ])
     def test_refused_spec(self, tmp_path, capsys, spec, message):
         assert self.run_spec(tmp_path, "fit", spec) == 1

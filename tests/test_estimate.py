@@ -47,7 +47,7 @@ class TestOlsFit:
         x, y = generate(SynthSpec(intercept=0.01, slope=1.5, noise_sigma=0.003,
                                   length=50, seed=11))
         r = ols_fit(single_spec(), {"x": x, "y": y})
-        ys, xs, _ = align(y, x)
+        (ys, xs), _ = align([(y, 0), (x, 0)])
         X = np.column_stack([np.ones(len(xs)), xs])
         expected = brute_force_ols(X, ys)
         assert r.segments[0].intercept == pytest.approx(expected[0], abs=1e-10)
@@ -58,7 +58,7 @@ class TestOlsFit:
                                   length=40, seed=2))
         r = ols_fit(single_spec(), {"x": x, "y": y})
         resid = np.asarray(r.residuals.values)
-        xs, _, _ = align(x, y)
+        (xs, _), _ = align([(x, 0), (y, 0)])
         assert abs(resid.sum()) < 1e-10
         assert abs(resid @ np.asarray(xs)) < 1e-10
 
@@ -105,7 +105,7 @@ class TestCumulativeFit:
         x, y = generate(SynthSpec(intercept=0.001, slope=1.31, noise_sigma=0.002,
                                   length=40, seed=21))
         r = cumulative_fit(single_spec("cumulative"), {"x": x, "y": y})
-        ys, xs, _ = align(y, x)
+        (ys, xs), _ = align([(y, 0), (x, 0)])
         step = 0.002
         grid = np.arange(1.31 - 0.3, 1.31 + 0.3, step)
         alpha, beta = brute_force_constrained(xs, ys, grid)
@@ -650,6 +650,17 @@ class TestLagScores:
     def test_bad_predictor_or_criterion(self, kwargs, message):
         with pytest.raises(InputError, match=message):
             scan_lag(single_spec(), ragged_data(), range(-5, 6), **kwargs)
+
+    def test_shared_without_a_break_is_refused(self):
+        # a lag scan names the spec's fault, not "no lag ... yields a legal
+        # sample"; scan_break supplies the break years and takes such a spec
+        # (TestScanBreak::test_profile_matches_one_fit_per_candidate)
+        spec = single_spec(shared=("intercept",))
+        message = '^"shared" \\[\'intercept\'\\] needs a "break_year"'
+        with pytest.raises(InputError, match=message):
+            scan_lag(spec, ragged_data(), range(-5, 6))
+        with pytest.raises(InputError, match=message):
+            fit(spec, ragged_data())
 
     @pytest.mark.parametrize("lag", [1.5, "1", [1], None])
     def test_non_integral_lag_is_refused(self, lag):

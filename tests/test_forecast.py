@@ -8,9 +8,7 @@ from lfphillips.forecast import (
     MODEL_REGISTRY,
     Scenario,
     build_scenario,
-    forecast_inflation,
     forecast_report,
-    forecast_unemployment,
     load_scenario,
     report_to_csv,
     report_to_json,
@@ -80,47 +78,39 @@ class TestRegistry:
 class TestForecastInflation:
     def test_constant_lf_gives_intercept(self):
         s = build_scenario(labor_force=lf_path([1e6] * 41), horizon=(2011, 2050))
-        path = forecast_inflation(MODEL_REGISTRY["eq8"], s)
+        path = forecast_report([MODEL_REGISTRY["eq8"]], s).inflation["eq8"]
         assert all(v == pytest.approx(-0.0084, abs=1e-15) for v in path.values)
 
     def test_hand_derived_growth_point(self):
         # growth exactly -0.00404 each year
         values = [1e6 * math.exp(-0.00404 * i) for i in range(11)]
         s = build_scenario(labor_force=lf_path(values), horizon=(2011, 2020))
-        path = forecast_inflation(MODEL_REGISTRY["eq8"], s)
+        path = forecast_report([MODEL_REGISTRY["eq8"]], s).inflation["eq8"]
         assert path.values[0] == pytest.approx(-0.0084 + 1.90 * (-0.00404), abs=1e-10)
 
     def test_generalized_model_needs_unemployment(self, decline):
-        with pytest.raises(InputError):
-            forecast_inflation(MODEL_REGISTRY["eq10"], decline)
+        with pytest.raises(InputError, match="^model eq10 needs a companion unemployment path$"):
+            forecast_report([MODEL_REGISTRY["eq10"]], decline)
 
     def test_generalized_model_with_companion(self, decline):
-        u = forecast_unemployment(MODEL_REGISTRY["eq9"], decline)
-        pi = forecast_inflation(MODEL_REGISTRY["eq10"], decline, unemployment=u)
+        report = forecast_report([MODEL_REGISTRY["eq10"], MODEL_REGISTRY["eq9"]], decline)
+        u, pi = report.unemployment["eq9"], report.inflation["eq10"]
         y = 2030
         expected = 2.80 * decline.growth.value(y) + 0.9 * u.value(y) - 0.0392
         assert pi.value(y) == pytest.approx(expected, abs=1e-12)
-
-    def test_unemployment_model_rejected(self, decline):
-        with pytest.raises(InputError):
-            forecast_inflation(MODEL_REGISTRY["eq9"], decline)
 
 
 class TestForecastUnemployment:
     def test_constant_lf_gives_intercept(self):
         s = build_scenario(labor_force=lf_path([1e6] * 41), horizon=(2011, 2050))
-        path = forecast_unemployment(MODEL_REGISTRY["eq9"], s)
+        path = forecast_report([MODEL_REGISTRY["eq9"]], s).unemployment["eq9"]
         assert all(v == pytest.approx(0.0432, abs=1e-15) for v in path.values)
 
     def test_hand_derived_point(self):
         values = [1e6 * math.exp(-0.0040 * i) for i in range(11)]
         s = build_scenario(labor_force=lf_path(values), horizon=(2011, 2020))
-        path = forecast_unemployment(MODEL_REGISTRY["eq9"], s)
+        path = forecast_report([MODEL_REGISTRY["eq9"]], s).unemployment["eq9"]
         assert path.values[0] == pytest.approx(0.049424, abs=1e-9)
-
-    def test_inflation_model_rejected(self, decline):
-        with pytest.raises(InputError):
-            forecast_unemployment(MODEL_REGISTRY["eq8"], decline)
 
 
 class TestAffinity:
@@ -134,9 +124,9 @@ class TestAffinity:
             units="persons",
         )
         horizon = (2011, 2050)
-        fa = forecast_inflation(MODEL_REGISTRY["eq8"], build_scenario(a, horizon))
-        fb = forecast_inflation(MODEL_REGISTRY["eq8"], build_scenario(b, horizon))
-        fm = forecast_inflation(MODEL_REGISTRY["eq8"], build_scenario(gm, horizon))
+        fa, fb, fm = (forecast_report([MODEL_REGISTRY["eq8"]],
+                                      build_scenario(lf, horizon)).inflation["eq8"]
+                      for lf in (a, b, gm))
         avg = [(x + y) / 2 for x, y in zip(fa.values, fb.values)]
         assert list(fm.values) == pytest.approx(avg, abs=1e-12)
 
@@ -155,10 +145,9 @@ class TestReport:
         report = forecast_report(
             [MODEL_REGISTRY["eq8"], MODEL_REGISTRY["eq9"]], decline
         )
-        assert report.inflation["eq8"] == forecast_inflation(MODEL_REGISTRY["eq8"], decline)
-        assert report.unemployment["eq9"] == forecast_unemployment(
-            MODEL_REGISTRY["eq9"], decline
-        )
+        alone = {m: forecast_report([MODEL_REGISTRY[m]], decline) for m in ("eq8", "eq9")}
+        assert report.inflation["eq8"] == alone["eq8"].inflation["eq8"]
+        assert report.unemployment["eq9"] == alone["eq9"].unemployment["eq9"]
 
     def test_deterministic(self, decline):
         models = [MODEL_REGISTRY["eq8"], MODEL_REGISTRY["eq9"]]

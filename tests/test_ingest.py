@@ -158,10 +158,12 @@ class TestFetchRemote:
         with pytest.raises(RetrievalError):
             ingest.fetch_remote(desc, "unemployment", "percent", cache=tmp_path, timeout=0.2)
 
-    def test_malformed_payload(self, tmp_path):
+    # a one-line payload is CSV text too, never a file name
+    @pytest.mark.parametrize("payload", ["not,a,series\n", "year,value", "Not Found"])
+    def test_malformed_payload(self, tmp_path, payload):
         desc = ingest.RemoteDescriptor(base_url="http://example.invalid", dataset="x", key="y")
         desc.cache_file(tmp_path).parent.mkdir(parents=True, exist_ok=True)
-        desc.cache_file(tmp_path).write_text("not,a,series\n")
+        desc.cache_file(tmp_path).write_text(payload)
         with pytest.raises(ParseError):
             ingest.fetch_remote(desc, "unemployment", "percent", cache=tmp_path)
 

@@ -87,7 +87,7 @@ class TestUnemploymentOnGrowthPiecewise:
                         estimator="cumulative", break_year=1977,
                         shared=("intercept",))
         r = fit(spec, japan)
-        post = r.segment_for(2000)
+        post = r.segments[-1]
         assert post.intercept == pytest.approx(0.0432, abs=0.003)
         assert post.slopes["labor_force_growth"] == pytest.approx(-1.556, abs=0.30)
         assert r.r2_cumulative > 0.99

@@ -74,7 +74,7 @@ class TestBruteForceOls:
         x, y = generate(SynthSpec(intercept=0.02, slope=-0.8, noise_sigma=0.004,
                                   length=45, seed=33))
         r = ols_fit(LinkSpec("y", (Predictor("x"),)), {"x": x, "y": y})
-        ys, xs, _ = align(y, x)
+        (ys, xs), _ = align([(y, 0), (x, 0)])
         beta = brute_force_ols(np.column_stack([np.ones(len(xs)), xs]), np.array(ys))
         assert r.segments[0].intercept == pytest.approx(beta[0], abs=1e-10)
         assert r.segments[0].slopes["x"] == pytest.approx(beta[1], abs=1e-10)
@@ -117,7 +117,7 @@ class TestEstimatorsAgreeNoiseFree:
         r_ols = ols_fit(spec, data)
         r_cum = cumulative_fit(LinkSpec("y", (Predictor("x"),), estimator="cumulative"),
                                data)
-        ys, xs, _ = align(y, x)
+        (ys, xs), _ = align([(y, 0), (x, 0)])
         b_ne = brute_force_ols(np.column_stack([np.ones(len(xs)), xs]), np.array(ys))
         a_gr, b_gr = brute_force_constrained(xs, ys, np.arange(1.6, 1.8, 0.0005))
         for intercept, slope, tol in [
