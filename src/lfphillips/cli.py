@@ -218,7 +218,9 @@ def cmd_plot(args) -> int:
     if args.window:
         w = _parse_window(args.window)
         chosen = [s.window(max(w[0], s.start_year), min(w[1], s.end_year)) for s in chosen]
-    style = svg.ChartStyle(title=args.title or ",".join(names), percent_axis=True)
+    # rates are fractions shown in percent; a persons level is shown as is
+    percent = all(s.units != "persons" for s in chosen)
+    style = svg.ChartStyle(title=args.title or ",".join(names), percent_axis=percent)
     regression = None
     if args.mode == "scatter" and args.regression:
         (xs, ys), _ = align([(chosen[0], 0), (chosen[1], 0)])

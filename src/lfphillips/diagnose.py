@@ -199,7 +199,7 @@ def adf_test(series: AnnualSeries, lag_order: int = 0) -> AdfResult:
     """
     if lag_order < 0:
         raise InputError("lag_order must be >= 0")
-    s = np.asarray(series.values, dtype=float)
+    s = series.array
     if len(s) < lag_order + 10:
         raise InputError(f"series of {len(s)} too short for lag order {lag_order}")
     if np.ptp(s) == 0.0:

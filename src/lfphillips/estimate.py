@@ -356,7 +356,7 @@ def _build_result(spec, data, beta, stderr, dof, labels, X, yv, years) -> FitRes
         pvalues=pvalues,
         r2_annual=float(r_squared_stack(yv, pred)),
         r2_cumulative=float(r_squared_stack(c_obs, c_pred)),
-        residuals=AnnualSeries(first, resid.tolist(), label="residuals",
+        residuals=AnnualSeries(first, resid, label="residuals",
                                units=data[spec.response].units),
         sigma=residual_sigma_values(resid),
         window=(first, last),
@@ -591,5 +591,5 @@ def predict(
     acc = np.zeros(len(years))
     for j, b in enumerate(fitres.coefficient_table().values()):
         acc = acc + X[:, j] * b
-    return AnnualSeries(years[0], acc.tolist(), label=f"predicted {spec.response}",
+    return AnnualSeries(years[0], acc, label=f"predicted {spec.response}",
                         units=fitres.residuals.units)

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import InputError
+from .estimate import _integral
 from .series import AnnualSeries, log_growth
 
 
@@ -217,13 +218,23 @@ def scenario_to_csv(scenario: Scenario) -> str:
     return "\n".join(lines) + "\n"
 
 
+# each scenario source and the optional keys it reads; a linear path is in persons
+_SOURCE_KEYS = {
+    "labor_force_csv": ("units",),
+    "population_csv": ("units", "participation"),
+    "linear": (),
+}
+
+
 def load_scenario(path) -> Scenario:
     """Read a scenario description from JSON.
 
     Schema: {"horizon": [y1, y2], "labor_force_csv": "...", "units": "..."} or
     {"horizon": ..., "population_csv": "...", "units": ..., "participation": r} or
     {"horizon": ..., "linear": {"start_year": y, "end_year": y, "start": v, "end": v}}.
-    A key outside the schema raises InputError naming it.
+    Exactly one source is named; years are integers (an integral float such
+    as 2011.0 converts). A key outside the schema, or one that the named
+    source would ignore, raises InputError naming it.
     """
     from .ingest import read_csv_series
 
@@ -234,39 +245,44 @@ def load_scenario(path) -> Scenario:
         raise InputError(f"cannot read scenario {p}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"scenario {p}: expected an object with a 'horizon' key")
-    _known_keys(doc, ("horizon", "labor_force_csv", "population_csv", "units",
-                      "participation", "linear"))
+    _known_keys(doc, ("horizon",) + tuple(_SOURCE_KEYS) + ("units", "participation"))
     horizon = doc.get("horizon")
     if not (isinstance(horizon, list) and len(horizon) == 2):
         raise InputError("scenario needs a two-element 'horizon'")
     try:
-        horizon = (int(horizon[0]), int(horizon[1]))
-    except (TypeError, ValueError) as exc:
+        horizon = (_integral("horizon", horizon[0]), _integral("horizon", horizon[1]))
+    except InputError as exc:
         raise InputError(f"scenario 'horizon' must be two years, got {horizon!r}") from exc
+    sources = [key for key in _SOURCE_KEYS if key in doc]
+    if len(sources) != 1:
+        raise InputError("scenario needs exactly one of 'labor_force_csv', 'population_csv' "
+                         f"or 'linear', got {sources}")
+    source = sources[0]
+    for key in doc:
+        if key not in _SOURCE_KEYS[source] + ("horizon", source):
+            raise InputError(f"scenario key '{key}' does not apply to a '{source}' source")
     units = doc.get("units", "persons")
-    if "labor_force_csv" in doc:
-        lf = read_csv_series(_resolve(p, doc, "labor_force_csv"), "labor-force", units,
+    if source == "labor_force_csv":
+        lf = read_csv_series(_resolve(p, doc, source), "labor-force", units,
                              label="labor force")
         return build_scenario(labor_force=lf, horizon=horizon)
-    if "population_csv" in doc:
-        pop = read_csv_series(_resolve(p, doc, "population_csv"), "population", units,
+    if source == "population_csv":
+        pop = read_csv_series(_resolve(p, doc, source), "population", units,
                               label="population")
         return build_scenario(population=pop, horizon=horizon,
                               participation=_number(doc, "participation", float))
-    if "linear" in doc:
-        lin = doc["linear"]
-        if not isinstance(lin, dict):
-            raise InputError(f"scenario 'linear' must be an object, got {lin!r}")
-        _known_keys(lin, ("start_year", "end_year", "start", "end"), "linear.")
-        y0, y1 = (_number(lin, key, int, "linear.") for key in ("start_year", "end_year"))
-        v0, v1 = (_number(lin, key, float, "linear.") for key in ("start", "end"))
-        if y1 <= y0:
-            raise InputError("linear path needs end_year > start_year")
-        n = y1 - y0
-        values = tuple(v0 + (v1 - v0) * i / n for i in range(n + 1))
-        lf = AnnualSeries(y0, values, label="labor force", units="persons")
-        return build_scenario(labor_force=lf, horizon=horizon)
-    raise InputError("scenario needs 'labor_force_csv', 'population_csv', or 'linear'")
+    lin = doc["linear"]
+    if not isinstance(lin, dict):
+        raise InputError(f"scenario 'linear' must be an object, got {lin!r}")
+    _known_keys(lin, ("start_year", "end_year", "start", "end"), "linear.")
+    y0, y1 = (_number(lin, key, int, "linear.") for key in ("start_year", "end_year"))
+    v0, v1 = (_number(lin, key, float, "linear.") for key in ("start", "end"))
+    if y1 <= y0:
+        raise InputError("linear path needs end_year > start_year")
+    n = y1 - y0
+    values = tuple(v0 + (v1 - v0) * i / n for i in range(n + 1))
+    lf = AnnualSeries(y0, values, label="labor force", units="persons")
+    return build_scenario(labor_force=lf, horizon=horizon)
 
 
 def _known_keys(doc: dict, names: tuple[str, ...], prefix: str = "") -> None:
@@ -278,9 +294,12 @@ def _known_keys(doc: dict, names: tuple[str, ...], prefix: str = "") -> None:
 
 
 def _number(doc: dict, key: str, kind, prefix: str = ""):
-    """``kind(doc[key])``, or InputError naming the scenario field."""
+    """``kind(doc[key])``, or InputError naming the scenario field; an int
+    field takes only an integral value, by ``estimate._integral``."""
     if key not in doc:
         raise InputError(f"scenario needs '{prefix}{key}'")
+    if kind is int:
+        return _integral(f"scenario '{prefix}{key}'", doc[key])
     try:
         return kind(doc[key])
     except (TypeError, ValueError) as exc:

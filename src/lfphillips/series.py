@@ -5,6 +5,11 @@ floats with a units tag. All rate-typed values are dimensionless fractions
 (0.05 means 5% per year); percent exists only at the ingest and plotting
 boundaries. Every operation here is a pure function returning a new series.
 
+A series holds its values twice, both built once at construction: ``values``
+is the public tuple of Python floats, and ``array`` is a read-only float64
+ndarray of the same numbers, which numeric code (alignment, ADF) reads
+instead of converting the tuple again.
+
 ``align`` is the one rule that pairs series by year and lag: every fit,
 scan, prediction and scatter chart takes its aligned values from it.
 """
@@ -12,7 +17,7 @@ scan, prediction and scatter chart takes its aligned values from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -28,23 +33,37 @@ class AnnualSeries:
 
     Gaps are illegal by construction; a missing year must be handled at
     ingest time, never silently interpolated.
+
+    ``values`` may be given as any iterable of numbers, an ndarray included;
+    it is stored as the public tuple of Python floats. ``array`` is derived
+    from it: a read-only float64 ndarray, bit-equal to ``values``, for
+    numeric code to read without a conversion.
     """
 
     start_year: int
     values: tuple[float, ...]
     label: str = ""
     units: str = "fraction"
+    array: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        values = tuple(map(float, self.values))
-        if not values:
+        values = self.values
+        if not isinstance(values, (tuple, list, np.ndarray)):
+            values = list(values)
+        arr = np.array(values, dtype=np.float64)
+        if arr.ndim != 1:
+            raise InputError("series values must be a flat sequence of numbers")
+        if arr.size == 0:
             raise InputError("series must contain at least one value")
         if self.units not in VALID_UNITS:
             raise InputError(f"unknown units {self.units!r}; expected one of {VALID_UNITS}")
-        if not all(map(math.isfinite, values)):
-            bad = next(i for i, v in enumerate(values) if not math.isfinite(v))
+        finite = np.isfinite(arr)
+        if not finite.all():
+            bad = int(np.argmin(finite))
             raise InputError(f"non-finite value at year {self.start_year + bad}")
-        object.__setattr__(self, "values", values)
+        arr.flags.writeable = False
+        object.__setattr__(self, "values", tuple(arr.tolist()))
+        object.__setattr__(self, "array", arr)
 
     @property
     def end_year(self) -> int:
@@ -71,13 +90,13 @@ class AnnualSeries:
                 f"window {first}:{last} not covered by series {self.start_year}..{self.end_year}"
             )
         lo = first - self.start_year
-        return replace(self, start_year=first, values=self.values[lo : lo + (last - first + 1)])
+        return replace(self, start_year=first, values=self.array[lo : lo + (last - first + 1)])
 
     def relabel(self, label: str) -> "AnnualSeries":
         return replace(self, label=label)
 
     def scale(self, factor: float) -> "AnnualSeries":
-        return replace(self, values=tuple(v * factor for v in self.values))
+        return replace(self, values=self.array * factor)
 
 
 def log_growth(lf: AnnualSeries) -> AnnualSeries:
@@ -115,5 +134,5 @@ def align(pairs: Sequence[tuple[AnnualSeries, int]],
         first, last = max(first, window[0]), min(last, window[1])
     if first > last:
         raise InputError("empty aligned sample; check lags and window")
-    values = [np.array(s.values[first - start:last - start + 1]) for s, start in aligned]
+    values = [np.array(s.array[first - start:last - start + 1]) for s, start in aligned]
     return values, np.arange(first, last + 1)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -179,6 +180,30 @@ class TestMalformedJson:
         ({"horizon": [2011, 2030], "linear": {"start_year": 2010, "end_year": 2030,
                                               "start": 1e6, "end": 9e5, "stop": 2020}},
          "linear.stop"),
+        # a key that the named source would ignore
+        ({"horizon": [2011, 2030], "linear": {"start_year": 2010, "end_year": 2030,
+                                              "start": 1e6, "end": 9e5}, "units": "thousands"},
+         "units"),
+        ({"horizon": [2011, 2030], "linear": {"start_year": 2010, "end_year": 2030,
+                                              "start": 1e6, "end": 9e5}, "participation": 0.5},
+         "participation"),
+        ({"horizon": [2011, 2030], "labor_force_csv": "pop.csv", "participation": 0.5},
+         "participation"),
+        # two sources
+        ({"horizon": [2011, 2030], "labor_force_csv": "pop.csv",
+          "linear": {"start_year": 2010, "end_year": 2030, "start": 1e6, "end": 9e5}},
+         "linear"),
+        ({"horizon": [2011, 2030], "labor_force_csv": "pop.csv", "population_csv": "pop.csv",
+          "participation": 0.5}, "population_csv"),
+        # years that are not integral
+        ({"horizon": [2011.7, 2030], "linear": {"start_year": 2010, "end_year": 2030,
+                                                "start": 1e6, "end": 9e5}}, "horizon"),
+        ({"horizon": ["2011", 2030], "linear": {"start_year": 2010, "end_year": 2030,
+                                                "start": 1e6, "end": 9e5}}, "horizon"),
+        ({"horizon": [2011, 2030], "linear": {"start_year": 2010.5, "end_year": 2030,
+                                              "start": 1e6, "end": 9e5}}, "linear.start_year"),
+        ({"horizon": [2011, 2030], "linear": {"start_year": 2010, "end_year": True,
+                                              "start": 1e6, "end": 9e5}}, "linear.end_year"),
     ])
     def test_malformed_scenario(self, tmp_path, capsys, doc, culprit):
         (tmp_path / "pop.csv").write_text(
@@ -348,6 +373,23 @@ class TestPlot:
         doc = (out / "phillips.svg").read_text()
         assert "<circle" in doc
         assert "<line" in doc
+
+    def test_persons_series_ticks_are_not_percent(self, tmp_path):
+        out = tmp_path / "o"
+        assert run("--manifest", str(DATA_DIR / "manifest.json"), "--out", str(out),
+                   "plot", "--series", "labor_force") == 0
+        doc = (out / "chart.svg").read_text()
+        y_ticks = re.findall(r'<text x="56" [^>]*text-anchor="end"[^>]*>([^<]*)</text>', doc)
+        assert y_ticks and not any(t.endswith("%") for t in y_ticks)
+        assert all(4e7 <= float(t) <= 7e7 for t in y_ticks)  # ~45M-66M persons
+
+    def test_rate_series_ticks_are_percent(self, tmp_path):
+        out = tmp_path / "o"
+        assert run("--manifest", str(DATA_DIR / "manifest.json"), "--out", str(out),
+                   "plot", "--series", "cpi,dgdp") == 0
+        doc = (out / "chart.svg").read_text()
+        y_ticks = re.findall(r'<text x="56" [^>]*text-anchor="end"[^>]*>([^<]*)</text>', doc)
+        assert y_ticks and all(t.endswith("%") for t in y_ticks)
 
     def test_mixed_units_rejected(self, tmp_path):
         assert run("--manifest", str(DATA_DIR / "manifest.json"),

@@ -199,6 +199,18 @@ class TestLoadScenario:
         s = load_scenario(p)
         assert s.labor_force.value(2010) == pytest.approx(128_600_000 * 0.521)
 
+    def test_integral_float_years(self, tmp_path):
+        doc = {"horizon": [2011, 2050],
+               "linear": {"start_year": 2010, "end_year": 2050,
+                          "start": 67_000_000, "end": 57_000_000}}
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps(doc))
+        q = tmp_path / "f.json"
+        q.write_text(json.dumps({"horizon": [2011.0, 2050.0],
+                                 "linear": {**doc["linear"], "start_year": 2010.0,
+                                            "end_year": 2050.0}}))
+        assert load_scenario(q) == load_scenario(p)
+
     def test_missing_source(self, tmp_path):
         p = tmp_path / "s.json"
         p.write_text(json.dumps({"horizon": [2010, 2020]}))

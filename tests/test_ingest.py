@@ -129,6 +129,9 @@ def http_fixture():
     _Handler.hits = 0
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 class TestFetchRemote:

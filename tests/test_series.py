@@ -146,3 +146,96 @@ class TestAlign:
         else:
             (xs, _), _ = align([(a, 0), (b, lag)])
             assert len(xs) == expected
+
+
+def assert_array_matches_values(s):
+    assert s.array.dtype == np.float64
+    assert not s.array.flags.writeable
+    assert s.array.tolist() == list(s.values)
+    assert s.array.tobytes() == np.array(s.values, dtype=np.float64).tobytes()
+    assert all(type(v) is float for v in s.values)
+
+
+class TestArray:
+    """``array`` is a read-only float64 copy of ``values``, built once."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: (1.5, -0.0, 2.0, 1e300),
+        lambda: [3, 1, -4, 2**53 + 1],
+        lambda: (v / 8 for v in range(-3, 5)),
+        lambda: np.array([0.1, 1e-8, -2.5, 3.0], dtype=np.float32),
+        lambda: np.arange(30.0)[::7],
+        lambda: np.arange(12.0).reshape(3, 4)[:, 1],
+    ], ids=["tuple", "int-list", "generator", "float32", "strided", "column"])
+    def test_construction_forms_agree(self, make):
+        expected = tuple(map(float, make()))
+        s = AnnualSeries(1980, make())
+        assert s.values == expected
+        assert [math.copysign(1.0, v) for v in s.values] == \
+            [math.copysign(1.0, v) for v in expected]
+        assert_array_matches_values(s)
+
+    @pytest.mark.parametrize("empty", [(), [], np.array([]), iter(())])
+    def test_empty_message(self, empty):
+        with pytest.raises(InputError, match="^series must contain at least one value$"):
+            AnnualSeries(1980, empty)
+
+    @pytest.mark.parametrize("bad, year", [
+        ((1.0, float("nan")), 1981),
+        ((float("inf"), 1.0), 1980),
+        ([1.0, 2.0, -math.inf], 1982),
+        (np.array([0.0, 1.0, np.nan, np.inf]), 1982),
+    ])
+    def test_non_finite_message(self, bad, year):
+        with pytest.raises(InputError, match=f"^non-finite value at year {year}$"):
+            AnnualSeries(1980, bad)
+
+    def test_nested_values_rejected(self):
+        with pytest.raises(InputError, match="flat sequence"):
+            AnnualSeries(1980, [[1.0, 2.0]])
+
+    def test_array_is_read_only_and_private(self):
+        source = np.array([1.0, 2.0, 3.0])
+        s = AnnualSeries(1980, source)
+        with pytest.raises(ValueError):
+            s.array[0] = 9.0
+        source[0] = 9.0
+        assert s.values[0] == 1.0 and s.array[0] == 1.0
+
+    def test_array_outside_equality_hash_and_repr(self):
+        a, b = AnnualSeries(1980, (1.0, 2.0)), AnnualSeries(1980, [1, 2])
+        assert a == b and hash(a) == hash(b)
+        assert "array" not in repr(a)
+
+    def test_derived_series_carry_a_consistent_array(self):
+        s = frac(1980, [0.25, -1.5, 3.0, 7.125, 0.1])
+        for derived in (s.window(1981, 1983), s.window(1980, 1980), s.scale(100.0),
+                        s.scale(-0.3), s.relabel("r")):
+            assert_array_matches_values(derived)
+        assert s.window(1981, 1983).values == s.values[1:4]
+        assert s.scale(-0.3).values == tuple(v * -0.3 for v in s.values)
+
+    @given(st.integers(1970, 1990), st.integers(1970, 1990),
+           st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=15),
+           st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=15),
+           st.integers(-3, 3), st.integers(-3, 3),
+           st.none() | st.tuples(st.integers(1965, 2000), st.integers(1965, 2000)))
+    def test_align_matches_tuple_slices(self, sa, sb, va, vb, la, lb, window):
+        a, b = frac(sa, va), frac(sb, vb)
+        first, last = max(sa + la, sb + lb), min(sa + la + len(va), sb + lb + len(vb)) - 1
+        if window is not None:
+            first, last = max(first, window[0]), min(last, window[1])
+        if first > last:
+            with pytest.raises(InputError):
+                align([(a, la), (b, lb)], window)
+            return
+        (xs, ys), years = align([(a, la), (b, lb)], window)
+        assert years.tolist() == list(range(first, last + 1))
+        for got, s, lag in ((xs, a, la), (ys, b, lb)):
+            lo = first - (s.start_year + lag)
+            want = np.array(s.values[lo:lo + last - first + 1])
+            assert got.tobytes() == want.tobytes()
+            assert got.dtype == np.float64
+            assert got.flags.writeable and got.flags.c_contiguous
+            got[0] = 42.0  # a fresh copy: the series is untouched
+            assert s.values[lo] == want[0]
