@@ -22,7 +22,7 @@ import numpy as np
 
 from . import diagnose as diag
 from . import estimate, forecast, ingest, svg
-from .errors import LfphillipsError, InputError
+from .errors import EstimationError, LfphillipsError, InputError
 from .series import AnnualSeries, align
 
 
@@ -44,6 +44,11 @@ def _parse_range(text: str) -> range:
         return range(int(a), int(b) + 1)
     except ValueError as exc:
         raise InputError(f"bad range {text!r}; expected A:B") from exc
+
+
+def _clip(candidates: range, first: int, last: int) -> range:
+    """The candidates within first..last, so that a scan costs what the data allow."""
+    return range(max(candidates.start, first), min(candidates.stop, last + 1))
 
 
 def _spec_from_args(args) -> estimate.LinkSpec:
@@ -128,7 +133,12 @@ def cmd_fit(args) -> int:
 def cmd_scan_lag(args) -> int:
     data = _load_data(args)
     spec = _spec_from_args(args)
-    results, best = estimate.scan_lag(spec, data, lag_range=_parse_range(args.lags))
+    lags, y = _parse_range(args.lags), data.get(spec.response)
+    x = data.get(spec.predictors[0].name)
+    # any other lag leaves the response and the scanned predictor no common year;
+    # with either series missing, no lag yields a sample
+    lags = _clip(lags, y.start_year - x.end_year, y.end_year - x.start_year) if y and x else ()
+    results, best = estimate.scan_lag(spec, data, lag_range=lags)
     out = _out_dir(args)
     lines = ["lag,r2_annual,r2_cumulative,sse,best"]
     for lag, res in results:
@@ -144,7 +154,11 @@ def cmd_scan_lag(args) -> int:
 def cmd_scan_break(args) -> int:
     data = _load_data(args)
     spec = _spec_from_args(args)
-    profile, best = estimate.scan_break(spec, data, candidate_years=_parse_range(args.years))
+    years, y = _parse_range(args.years), data.get(spec.response)
+    # a break must fall inside the response's years; without a response the
+    # scan fails before it reads a candidate
+    years = _clip(years, y.start_year, y.end_year) if y else ()
+    profile, best = estimate.scan_break(spec, data, candidate_years=years)
     out = _out_dir(args)
     lines = ["year,sse,best"]
     for year, sse in profile:
@@ -192,17 +206,15 @@ def cmd_forecast(args) -> int:
     if "json" in formats:
         ingest.write_atomic(out / "report.json", forecast.report_to_json(report))
     if "svg" in formats:
-        paths = list(report.all_paths().values())
-        if paths:
-            style = svg.ChartStyle(title="forecast", y_label="rate", percent_axis=True)
-            # inflation and unemployment carry different unit tags; chart each group
-            for group, tag in (
-                (list(report.inflation.items()), "inflation"),
-                (list(report.unemployment.items()), "unemployment"),
-            ):
-                if group:
-                    doc = svg.line_chart([s.relabel(k) for k, s in group], style=style)
-                    ingest.write_atomic(out / f"forecast_{tag}.svg", doc)
+        style = svg.ChartStyle(title="forecast", y_label="rate", percent_axis=True)
+        # inflation and unemployment carry different unit tags; chart each group
+        for group, tag in (
+            (list(report.inflation.items()), "inflation"),
+            (list(report.unemployment.items()), "unemployment"),
+        ):
+            if group:
+                doc = svg.line_chart([s.relabel(k) for k, s in group], style=style)
+                ingest.write_atomic(out / f"forecast_{tag}.svg", doc)
     ingest.write_atomic(out / "scenario.csv", forecast.scenario_to_csv(scenario))
     print(f"forecast written to {out}")
     return 0
@@ -224,7 +236,10 @@ def cmd_plot(args) -> int:
     regression = None
     if args.mode == "scatter" and args.regression:
         (xs, ys), _ = align([(chosen[0], 0), (chosen[1], 0)])
-        beta, _, _ = diag.least_squares(np.column_stack([np.ones(len(xs)), xs]), ys)
+        Xy = np.column_stack([np.ones(len(xs)), xs, ys])[None]
+        (beta,), _, _, (ok,) = diag.least_squares_stack(Xy)
+        if not ok:
+            raise EstimationError("degenerate design: zero-variance or collinear predictors")
         regression = (float(beta[0]), float(beta[1]))
     doc = svg.line_chart(chosen, style=style, scatter=args.mode == "scatter",
                          regression=regression)

@@ -6,10 +6,12 @@ up on strong fits come out without overflow. The unit-root test is an
 augmented Dickey-Fuller regression with a constant and no trend, judged
 against the published constant-only critical-value table.
 
-Every regression in the package (both estimators, the break-year scan, the
-ADF regression and the chart overlay) is solved by ``least_squares_stack``:
-one batched QR factorization whose R factors also give the rank test and the
-coefficient covariance. A single regression is the stack of one.
+Every regression in the package (both estimators, both scans, the ADF
+regression and the chart overlay) is solved by ``least_squares_stack``: one
+batched R-only QR factorization of the augmented stack ``[X | y]``, whose R
+factors give the coefficients, the residual sum of squares, the rank test and
+the coefficient covariance without forming Q. A single regression is the
+stack of one.
 """
 
 from __future__ import annotations
@@ -41,44 +43,30 @@ def residual_sigma_values(residuals: np.ndarray) -> float:
     return float(np.sqrt(np.mean((residuals - residuals.mean()) ** 2)))
 
 
-def least_squares_stack(
-    X: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Minimize ||X_i beta_i - y_i|| for every slice of an (m, n, k) stack X.
+def least_squares_stack(Xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Minimize ||X_i beta_i - y_i|| for every slice of an (m, n, k+1) stack ``[X | y]``.
 
-    One batched QR factorization X_i = Q_i R_i solves all slices. ``y`` is
-    (m, n), or (n,) when every slice shares it. Returns ``(beta, residuals,
-    R^-1, full_rank)`` of shapes (m, k), (m, n), (m, k, k) and (m,);
-    ``R^-1 R^-T = (X'X)^-1``, so the classical covariance is ``s^2 R^-1 R^-T``
-    with no second factorization. A slice is rank deficient when
-    min|diag R| <= max(n, k) * eps * max|diag R|, numpy's default rank
-    tolerance; its outputs are meaningless. Raises EstimationError when the
-    slices have fewer rows than columns.
+    One batched R-only QR of the stack solves every slice without forming Q:
+    the leading k x k block of R is R of X, the column beside it is Q'y and
+    the entry below that is +-||y - X beta||. Returns ``(beta, rss, R^-1,
+    full_rank)`` of shapes (m, k), (m,), (m, k, k) and (m,); rss is 0 when
+    n == k. ``R^-1 R^-T = (X'X)^-1``, so the classical covariance is s^2 R^-1 R^-T.
+    A slice is rank deficient when min|diag R| <= max(n, k) * eps * max|diag R|,
+    numpy's default rank tolerance; its outputs are meaningless. Raises
+    EstimationError when n < k.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n, k = X.shape[-2:]
+    Xy = np.asarray(Xy, dtype=float)
+    n, k = Xy.shape[-2], Xy.shape[-1] - 1
     if n < k:
         raise EstimationError("degenerate design: zero-variance or collinear predictors")
-    q, r = np.linalg.qr(X)
-    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    r = np.linalg.qr(Xy, mode="r")
+    r_x, qty = r[:, :k, :k], r[:, :k, k]
+    diag = np.abs(np.diagonal(r_x, axis1=-2, axis2=-1))
     full_rank = diag.min(axis=-1) > max(n, k) * np.finfo(float).eps * diag.max(axis=-1)
     # rank-deficient slices invert I instead, so one singular R cannot fail the stack
-    r_inv = np.linalg.inv(np.where(full_rank[:, None, None], r, np.eye(k)))
-    beta = matvec(r_inv, matvec(np.swapaxes(q, -1, -2), y))
-    return beta, y - matvec(X, beta), r_inv, full_rank
-
-
-def least_squares(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``least_squares_stack`` on the stack of one design X (n, k).
-
-    Returns ``(beta, residuals, R^-1)`` and raises EstimationError when X has
-    fewer rows than columns or is rank deficient.
-    """
-    beta, resid, r_inv, full_rank = least_squares_stack(np.asarray(X, dtype=float)[None], y)
-    if not full_rank[0]:
-        raise EstimationError("degenerate design: zero-variance or collinear predictors")
-    return beta[0], resid[0], r_inv[0]
+    r_inv = np.linalg.inv(np.where(full_rank[:, None, None], r_x, np.eye(k)))
+    rss = r[:, k, k] ** 2 if n > k else np.zeros(len(r))
+    return matvec(r_inv, qty), rss, r_inv, full_rank
 
 
 def matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -211,16 +199,12 @@ def adf_test(series: AnnualSeries, lag_order: int = 0) -> AdfResult:
     cols = [np.ones(n), s[lag_order:-1]]
     for k in range(1, lag_order + 1):
         cols.append(ds[lag_order - k : len(ds) - k])
-    X = np.column_stack(cols)
-    dof = n - X.shape[1]
+    dof = n - len(cols)
     if dof <= 0:
         raise InputError("not enough observations for the ADF regression")
-    try:
-        beta, resid, r_inv = least_squares(X, y)
-    except EstimationError as exc:
-        raise DomainError("degenerate ADF regression") from exc
-    se = math.sqrt(float(resid @ resid) / dof) * float(np.linalg.norm(r_inv[1]))
-    if se == 0.0:
+    (beta,), (rss,), (r_inv,), (ok,) = least_squares_stack(np.column_stack(cols + [y])[None])
+    se = math.sqrt(float(rss) / dof) * float(np.linalg.norm(r_inv[1]))
+    if not ok or se == 0.0:
         raise DomainError("degenerate ADF regression")
     stat = float(beta[1]) / se
     critical = df_critical_values(n)

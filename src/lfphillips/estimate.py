@@ -291,16 +291,17 @@ def _break_error(year: int, years: np.ndarray, labels) -> str | None:
 
 
 def _design(labels, cols: Mapping[str, np.ndarray], years: np.ndarray,
-            break_years: Sequence[int | None]) -> np.ndarray:
-    """(m, n, k) design stack, one slice per break year (None: no break).
-
-    ``years`` and each column are (n,) when every slice shares them, or
-    (m, n) with one row per slice.
-    """
+            break_years: Sequence[int | None], yv: np.ndarray | None = None) -> np.ndarray:
+    """(m, n, k) design stack, one slice per break year (None: no break), or
+    the (m, n, k+1) stack ``[X | y]`` of the solve when given a response ``yv``.
+    ``years``, ``yv`` and each column are (n,) when every slice shares them,
+    or (m, n) with one row per slice."""
     # no break: every year is pre-break, which an untagged design never reads
     cuts = np.array([math.inf if b is None else b for b in break_years])
     post = years >= cuts[:, None]
-    X = np.empty(post.shape + (len(labels),))
+    X = np.empty(post.shape + (len(labels) + (yv is not None),))
+    if yv is not None:
+        X[:, :, -1] = yv
     for j, (_, name, tag) in enumerate(labels):
         base = 1.0 if name == INTERCEPT else cols[name]
         if tag == "pre":
@@ -312,24 +313,26 @@ def _design(labels, cols: Mapping[str, np.ndarray], years: np.ndarray,
     return X
 
 
-def _solve(estimator: str, X: np.ndarray, yv: np.ndarray):
-    """The estimator's least squares on every slice of a design stack.
+def _solve(estimator: str, Xy: np.ndarray):
+    """The estimator's least squares on every slice of an (m, n, k+1) stack ``[X | y]``.
 
-    ``yv`` is (m, n), or (n,) when every slice shares it. Returns ``(beta,
-    residuals, N R^-1, full_rank)`` as ``least_squares_stack`` does; N spans
-    the free directions (N = I for OLS), so the classical covariance is
-    s^2 (N R^-1)(N R^-1)'.
+    Returns ``(beta, rss, N R^-1, full_rank)`` as ``least_squares_stack`` does,
+    rss on the estimator's own curves; N spans the free directions (N = I for
+    OLS), so the classical covariance is s^2 (N R^-1)(N R^-1)'.
     """
     if estimator != "cumulative":
-        return least_squares_stack(X, yv)
-    A, b = np.cumsum(X, axis=-2), np.cumsum(yv, axis=-1)
-    # Eliminate the endpoint constraint c.z = d (c, d: last cumulated row):
+        return least_squares_stack(Xy)
+    C, k = np.cumsum(Xy, axis=-2), Xy.shape[-1] - 1
+    # Eliminate the endpoint constraint c.z = d ([c | d]: last cumulated row):
     # z = z0 + N w, with N the trailing columns of the complete QR of c.
     # c never vanishes, because its intercept entries count observations.
-    q, r = np.linalg.qr(np.swapaxes(A[:, -1:], -1, -2), mode="complete")
-    z0, nullspace = q[:, :, 0] * (b[..., -1:] / r[:, :1, 0]), q[:, :, 1:]
-    w, resid, r_inv, full_rank = least_squares_stack(A @ nullspace, b - matvec(A, z0))
-    return z0 + matvec(nullspace, w), resid, nullspace @ r_inv, full_rank
+    # [A | b] [[N, -z0], [0, 1]] = [A N | b - A z0] is the reduced stack.
+    q, r = np.linalg.qr(np.swapaxes(C[:, -1:, :k], -1, -2), mode="complete")
+    z0, nullspace = q[:, :, 0] * (C[:, -1, k:] / r[:, :1, 0]), q[:, :, 1:]
+    M = np.zeros((len(C), k + 1, k))
+    M[:, :k, :-1], M[:, :k, -1], M[:, k, -1] = nullspace, -z0, 1.0
+    w, rss, r_inv, full_rank = least_squares_stack(C @ M)
+    return z0 + matvec(nullspace, w), rss, nullspace @ r_inv, full_rank
 
 
 def _sse(observed: np.ndarray, predicted: np.ndarray) -> np.ndarray:
@@ -382,15 +385,14 @@ def _fit(spec: LinkSpec, data: Mapping[str, AnnualSeries]) -> FitResult:
     """One fit: the stack of one through the scan's design and solve."""
     _check_shared(spec)
     yv, cols, years, labels = _fit_sample(spec, data)
-    X = _design(labels, cols, years, [spec.break_year])
-    beta, resid, r_inv, full_rank = _solve(spec.estimator, X, yv)
-    if not full_rank[0]:
+    Xy = _design(labels, cols, years, [spec.break_year], yv)
+    (beta,), (rss,), (r_inv,), (full_rank,) = _solve(spec.estimator, Xy)
+    if not full_rank:
         raise EstimationError("degenerate design: zero-variance or collinear predictors")
-    beta, resid, r_inv = beta[0], resid[0], r_inv[0]
     # classical errors: cov = s^2 (N R^-1)(N R^-1)', with N = I for OLS
     dof = len(years) - r_inv.shape[1]
-    stderr = np.sqrt(float(resid @ resid) / dof) * np.linalg.norm(r_inv, axis=1)
-    return _build_result(spec, data, beta, stderr, dof, labels, X[0], yv, years)
+    stderr = np.sqrt(float(rss) / dof) * np.linalg.norm(r_inv, axis=1)
+    return _build_result(spec, data, beta, stderr, dof, labels, Xy[0, :, :-1], yv, years)
 
 
 def ols_fit(spec: LinkSpec, data: Mapping[str, AnnualSeries]) -> FitResult:
@@ -492,9 +494,10 @@ def scan_lag(
 def _lag_scores(spec, labels, members) -> dict[int, LagScore]:
     """LagScore of every full-rank lag among equal-length samples, in one stacked solve."""
     lags, yvs, cols, years = zip(*members)
-    X = _design(labels, {p.name: np.stack([c[p.name] for c in cols]) for p in spec.predictors},
-                np.stack(years), [spec.break_year] * len(lags))
-    full_rank, annual, cumulative = _stack_curves(spec.estimator, X, np.stack(yvs))
+    yv = np.stack(yvs)
+    Xy = _design(labels, {p.name: np.stack([c[p.name] for c in cols]) for p in spec.predictors},
+                 np.stack(years), [spec.break_year] * len(lags), yv)
+    full_rank, annual, cumulative = _stack_curves(spec.estimator, Xy, yv)
     rows = zip(_sse(*annual), _sse(*cumulative),
                r_squared_stack(*annual), r_squared_stack(*cumulative))
     return {lag: LagScore(spec.estimator, *map(float, row))
@@ -536,8 +539,8 @@ def scan_break(
 
 def _break_sse(estimator, labels, cols, years, yv, break_years) -> list[tuple[int, float]]:
     """(year, objective SSE) of every full-rank candidate, in one stacked solve."""
-    X = _design(labels, cols, years, break_years)
-    full_rank, annual, cumulative = _stack_curves(estimator, X, yv)
+    Xy = _design(labels, cols, years, break_years, yv)
+    full_rank, annual, cumulative = _stack_curves(estimator, Xy, yv)
     sse = _sse(*(cumulative if estimator == "cumulative" else annual))
     return [(year, float(e)) for year, e, ok in zip(break_years, sse, full_rank) if ok]
 
@@ -549,11 +552,11 @@ def _passes(candidates: list, n: int, k: int) -> list[list]:
     return [candidates[i:i + step] for i in range(0, len(candidates), step)]
 
 
-def _stack_curves(estimator, X, yv):
-    """Solve every slice of a design stack; return its full-rank mask and its
-    annual and cumulative (observed, predicted) curves."""
-    beta, _, _, full_rank = _solve(estimator, X, yv)
-    pred = matvec(X, beta)
+def _stack_curves(estimator, Xy, yv):
+    """Full-rank mask and annual and cumulative (observed, predicted) curves
+    of every slice of a stack ``[X | y]`` whose y is ``yv``."""
+    beta, _, _, full_rank = _solve(estimator, Xy)
+    pred = matvec(Xy[..., :-1], beta)
     return full_rank, (yv, pred), (np.cumsum(yv, axis=-1), np.cumsum(pred, axis=-1))
 
 

@@ -11,6 +11,7 @@ labor force drives inflation and unemployment, with no feedback.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -294,16 +295,17 @@ def _known_keys(doc: dict, names: tuple[str, ...], prefix: str = "") -> None:
 
 
 def _number(doc: dict, key: str, kind, prefix: str = ""):
-    """``kind(doc[key])``, or InputError naming the scenario field; an int
-    field takes only an integral value, by ``estimate._integral``."""
+    """``doc[key]`` as ``kind``, or InputError naming the scenario field. As in
+    ``estimate._integral``, a bool or a string is no number, and an int field
+    takes only an integral value."""
     if key not in doc:
         raise InputError(f"scenario needs '{prefix}{key}'")
+    name, value = f"scenario '{prefix}{key}'", doc[key]
     if kind is int:
-        return _integral(f"scenario '{prefix}{key}'", doc[key])
-    try:
-        return kind(doc[key])
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"scenario '{prefix}{key}' must be a number, got {doc[key]!r}") from exc
+        return _integral(name, value)
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise InputError(f"{name} must be a number, got {value!r}")
 
 
 def _resolve(scenario_path: Path, doc: dict, key: str) -> Path:

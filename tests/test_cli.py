@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from lfphillips import forecast, ingest
+from lfphillips import estimate, forecast, ingest
 from lfphillips.cli import main
 from lfphillips.estimate import LinkSpec
 from lfphillips.oracle import SynthSpec, generate
@@ -137,6 +137,60 @@ class TestScan:
         assert len(best) == 1 and best[0].startswith("1998,")
 
 
+class TestScanRangeClip:
+    """A scan's cost follows the data, not the width of the requested range."""
+
+    @staticmethod
+    def scan(tmp_path, capsys, name, *argv):
+        out = tmp_path / name
+        code = run("--manifest", str(DATA_DIR / "manifest.json"), "--out", str(out), *argv)
+        captured = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in sorted(out.glob("*"))}
+        return code, captured.out, captured.err, files
+
+    @pytest.mark.parametrize("estimator", ["ols", "cumulative"])
+    @pytest.mark.parametrize("command, wide, narrow, code", [
+        ("scan-lag", "--lags=-20000:20000", "--lags=-60:60", 0),
+        # no lag or year leaves a legal sample: the same exit 1 and message
+        ("scan-lag", "--lags=500:90000", "--lags=500:600", 1),
+        ("scan-break", "--years=-20000:20000", "--years=1900:2100", 0),
+        ("scan-break", "--years=2500:90000", "--years=2500:2600", 1),
+    ])
+    def test_wide_range_writes_the_narrow_bytes(self, tmp_path, capsys, estimator, command,
+                                                wide, narrow, code):
+        argv = (command, "--response", "cpi", "--predictor", "unemployment",
+                "--estimator", estimator)
+        got = self.scan(tmp_path, capsys, "wide", *argv, wide)
+        assert got == self.scan(tmp_path, capsys, "narrow", *argv, narrow)
+        assert got[0] == code
+
+    @pytest.mark.parametrize("command, flag, response", [
+        ("scan-lag", "--lags=0:200000000", "cpi"),
+        ("scan-lag", "--lags=-200000000:0", "absent"),
+        ("scan-break", "--years=0:200000000", "cpi"),
+        ("scan-break", "--years=0:200000000", "absent"),
+    ])
+    def test_scan_receives_a_bounded_candidate_list(self, monkeypatch, tmp_path, capsys,
+                                                    command, flag, response):
+        name = command.replace("-", "_")
+        real = getattr(estimate, name)
+        seen = []
+
+        def bounded(spec, data, **candidates):
+            (size,) = map(len, candidates.values())
+            seen.append(size)
+            # checked before the real scan runs, so an unclipped range never reaches it
+            assert size <= 120, f"{size} candidates reached {name}"
+            return real(spec, data, **candidates)
+
+        monkeypatch.setattr(estimate, name, bounded)
+        code, _, err, _ = self.scan(tmp_path, capsys, "o", command, "--response", response,
+                                    "--predictor", "unemployment", flag)
+        assert len(seen) == 1
+        assert code == (0 if response == "cpi" else 1)
+        assert "Traceback" not in err
+
+
 class TestDiagnose:
     def test_writes_adf_block(self, break_fixture, tmp_path):
         out = tmp_path / "o"
@@ -204,6 +258,15 @@ class TestMalformedJson:
                                               "start": 1e6, "end": 9e5}}, "linear.start_year"),
         ({"horizon": [2011, 2030], "linear": {"start_year": 2010, "end_year": True,
                                               "start": 1e6, "end": 9e5}}, "linear.end_year"),
+        # numbers spelled as booleans or strings
+        ({"horizon": [2011, 2030], "linear": {"start_year": 2010, "end_year": 2030,
+                                              "start": "67e6", "end": 6e7}}, "linear.start"),
+        ({"horizon": [2011, 2030], "linear": {"start_year": 2010, "end_year": 2030,
+                                              "start": 6.7e7, "end": True}}, "linear.end"),
+        ({"horizon": [2011, 2030], "population_csv": "pop.csv", "participation": True},
+         "participation"),
+        ({"horizon": [2011, 2030], "population_csv": "pop.csv", "participation": "0.6"},
+         "participation"),
     ])
     def test_malformed_scenario(self, tmp_path, capsys, doc, culprit):
         (tmp_path / "pop.csv").write_text(

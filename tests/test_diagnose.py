@@ -8,7 +8,7 @@ from scipy import stats
 from lfphillips.diagnose import (
     adf_test,
     df_critical_values,
-    least_squares,
+    least_squares_stack,
     r_squared_stack,
     residual_sigma_values,
     t_pvalue,
@@ -66,30 +66,57 @@ def _seeded_design(broken: bool, seed: int):
     return np.hstack([np.where(post, 0.0, base), np.where(post, base, 0.0)]), ys
 
 
+def _stack_of_one(X, y):
+    """The (1, n, k+1) stack [X | y] that the kernel solves."""
+    return np.column_stack([X, y])[None]
+
+
 class TestLeastSquares:
     @pytest.mark.parametrize("broken", [False, True])
     @pytest.mark.parametrize("seed", [0, 7, 42])
     def test_matches_normal_equations_oracle(self, broken, seed):
         X, y = _seeded_design(broken, seed)
         assert X.shape[1] == (4 if broken else 2)
-        beta, resid, _ = least_squares(X, y)
-        np.testing.assert_allclose(beta, brute_force_ols(X, y), rtol=0, atol=1e-10)
-        np.testing.assert_allclose(resid, y - X @ beta, rtol=0, atol=1e-15)
+        beta, rss, _, full_rank = least_squares_stack(_stack_of_one(X, y))
+        assert full_rank[0]
+        expected = brute_force_ols(X, y)
+        np.testing.assert_allclose(beta[0], expected, rtol=0, atol=1e-10)
+        sse = float(np.sum((y - X @ expected) ** 2))
+        np.testing.assert_allclose(rss[0], sse, rtol=1e-12)
 
-    def test_collinear_design_raises(self):
+    def test_collinear_design_is_rank_deficient(self):
         X, y = _seeded_design(False, 0)
-        with pytest.raises(EstimationError):
-            least_squares(np.column_stack([X, 3.0 * X[:, 1]]), y)
+        _, _, _, full_rank = least_squares_stack(
+            _stack_of_one(np.column_stack([X, 3.0 * X[:, 1]]), y))
+        assert not full_rank[0]
 
     def test_fewer_rows_than_columns_raises(self):
         with pytest.raises(EstimationError):
-            least_squares(np.eye(2, 3), np.ones(2))
+            least_squares_stack(_stack_of_one(np.eye(2, 3), np.ones(2)))
 
     @pytest.mark.parametrize("broken", [False, True])
     def test_r_inverse_gives_normal_matrix_inverse(self, broken):
         X, y = _seeded_design(broken, 3)
-        _, _, r_inv = least_squares(X, y)
-        np.testing.assert_allclose(r_inv @ r_inv.T, np.linalg.inv(X.T @ X), rtol=1e-9)
+        _, _, r_inv, _ = least_squares_stack(_stack_of_one(X, y))
+        np.testing.assert_allclose(r_inv[0] @ r_inv[0].T, np.linalg.inv(X.T @ X), rtol=1e-9)
+
+    def test_square_design_interpolates_with_zero_rss(self):
+        rng = np.random.default_rng(8)
+        X, y = rng.normal(size=(3, 3)), rng.normal(size=3)
+        beta, rss, _, full_rank = least_squares_stack(_stack_of_one(X, y))
+        assert full_rank[0]
+        assert rss[0] == 0.0
+        np.testing.assert_allclose(X @ beta[0], y, rtol=0, atol=1e-12)
+
+    def test_rank_deficient_slice_leaves_the_others_unchanged(self):
+        slices = [_stack_of_one(*_seeded_design(True, seed))[0] for seed in (0, 7, 42)]
+        slices[1][:, 3] = 2.0 * slices[1][:, 2]  # post slope column = 2 x post intercept column
+        beta, rss, r_inv, full_rank = least_squares_stack(np.stack(slices))
+        assert full_rank.tolist() == [True, False, True]
+        for i in (0, 2):
+            alone = least_squares_stack(slices[i][None])
+            for got, want in zip((beta, rss, r_inv), alone):
+                np.testing.assert_array_equal(got[i], want[0])
 
 
 class TestTPvalue:
@@ -181,6 +208,22 @@ class TestAdf:
         res = adf_test(s)
         for level, cv in res.critical_values.items():
             assert res.rejects[level] == (res.statistic < cv)
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    @pytest.mark.parametrize("lag_order", [0, 1, 2, 3, 4])
+    def test_statistic_matches_lstsq(self, seed, lag_order):
+        vals = np.cumsum(np.random.default_rng(seed).normal(0, 1, 90))
+        ds = np.diff(vals)
+        y = ds[lag_order:]
+        X = np.column_stack([np.ones(len(y)), vals[lag_order:-1]]
+                            + [ds[lag_order - j:len(ds) - j] for j in range(1, lag_order + 1)])
+        beta, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
+        resid = y - X @ beta
+        pinv = np.linalg.pinv(X)
+        se = np.sqrt(resid @ resid / (len(y) - X.shape[1]) * (pinv @ pinv.T)[1, 1])
+        res = adf_test(frac(vals), lag_order=lag_order)
+        assert res.n_obs == len(y)
+        np.testing.assert_allclose(res.statistic, beta[1] / se, rtol=1e-10)
 
     def test_statistic_matches_statsmodels(self):
         statsmodels = pytest.importorskip("statsmodels.tsa.stattools")

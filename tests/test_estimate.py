@@ -687,3 +687,32 @@ class TestDuplicatePredictors:
     def test_other_names_still_fit(self):
         spec = LinkSpec("y", (Predictor("x"), Predictor("z", 1)))
         assert fit(spec, ragged_data()).coefficient_table().keys() == {"intercept", "x", "z"}
+
+
+class TestNoQFormingSolve:
+    def test_designs_are_factorized_r_only(self, monkeypatch):
+        """Every QR of an n-row design is R-only; only the k x 1 endpoint
+        constraint of the cumulative estimator forms its complete Q."""
+        from lfphillips.diagnose import adf_test
+
+        real_qr = np.linalg.qr
+        calls = []
+
+        def guarded(a, mode="reduced"):
+            calls.append((np.shape(a), mode))
+            return real_qr(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", guarded)
+        data = ragged_data()  # every sample below has at least 20 rows
+        for estimator in ("ols", "cumulative"):
+            fit(single_spec(estimator), data)
+            fit(single_spec(estimator, break_year=1995), data)
+            scan_lag(single_spec(estimator), data, range(-3, 4))
+            scan_break(single_spec(estimator), data, range(1985, 2006))
+        adf_test(fit(single_spec(), data).residuals, lag_order=2)
+        assert {mode for _, mode in calls} == {"r", "complete"}
+        for shape, mode in calls:
+            if mode == "r":
+                assert shape[-2] >= 20
+            else:
+                assert mode == "complete" and shape[-1] == 1 and shape[-2] <= 4, (shape, mode)
