@@ -63,11 +63,10 @@ def main() -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    chart = svg.line_chart(
-        [data["unemployment"].window(*POST_BREAK), data["cpi"].window(*POST_BREAK)],
+    chart = svg.scatter_chart(
+        data["unemployment"].window(*POST_BREAK), data["cpi"].window(*POST_BREAK),
         style=svg.ChartStyle(title="CPI inflation vs unemployment, 1982-2012",
                              percent_axis=True),
-        scatter=True,
     )
     target = out / "phillips_scatter.svg"
     ingest.write_atomic(target, chart)

@@ -15,15 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
-
-import numpy as np
 
 from . import diagnose as diag
 from . import estimate, forecast, ingest, svg
-from .errors import EstimationError, LfphillipsError, InputError
-from .series import AnnualSeries, align
+from .errors import LfphillipsError, InputError
+from .series import AnnualSeries
 
 
 class UsageError(LfphillipsError):
@@ -95,15 +93,7 @@ def _fit_document(result: estimate.FitResult) -> dict:
     return {
         "spec": result.spec.to_dict(),
         "window": list(result.window),
-        "segments": [
-            {
-                "first_year": seg.first_year,
-                "last_year": seg.last_year,
-                "intercept": seg.intercept,
-                "slopes": seg.slopes,
-            }
-            for seg in result.segments
-        ],
+        "segments": [asdict(seg) for seg in result.segments],
         "coefficients": result.coefficient_table(),
         "stderr": result.stderr,
         "pvalues": result.pvalues,
@@ -189,6 +179,10 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_forecast(args) -> int:
+    formats = {name.strip() for name in (args.format or "csv,json").split(",")}
+    unknown = sorted(formats - {"csv", "json", "svg"})
+    if unknown:
+        raise UsageError(f"unknown --format {unknown[0]!r}; use csv, json or svg")
     scenario = forecast.load_scenario(args.scenario)
     models = []
     for name in args.models.split(","):
@@ -200,7 +194,6 @@ def cmd_forecast(args) -> int:
         models.append(forecast.MODEL_REGISTRY[name])
     report = forecast.forecast_report(models, scenario)
     out = _out_dir(args)
-    formats = set((args.format or "csv,json").split(","))
     if "csv" in formats:
         ingest.write_atomic(out / "report.csv", forecast.report_to_csv(report))
     if "json" in formats:
@@ -221,28 +214,31 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    data = _load_data(args)
     names = [n.strip() for n in args.series.split(",")]
+    if args.mode == "scatter" and len(names) != 2:
+        raise InputError("scatter mode needs exactly two series (x then y)")
+    if args.regression and args.mode != "scatter":
+        raise UsageError("--regression needs --mode scatter")
+    data = _load_data(args)
     missing = [n for n in names if n not in data]
     if missing:
         raise InputError(f"series not in manifest: {missing}")
     chosen = [data[n] for n in names]
-    if args.window:
-        w = _parse_window(args.window)
+    w = _parse_window(args.window) if args.window else None
+    if w:
         chosen = [s.window(max(w[0], s.start_year), min(w[1], s.end_year)) for s in chosen]
     # rates are fractions shown in percent; a persons level is shown as is
     percent = all(s.units != "persons" for s in chosen)
     style = svg.ChartStyle(title=args.title or ",".join(names), percent_axis=percent)
     regression = None
-    if args.mode == "scatter" and args.regression:
-        (xs, ys), _ = align([(chosen[0], 0), (chosen[1], 0)])
-        Xy = np.column_stack([np.ones(len(xs)), xs, ys])[None]
-        (beta,), _, _, (ok,) = diag.least_squares_stack(Xy)
-        if not ok:
-            raise EstimationError("degenerate design: zero-variance or collinear predictors")
-        regression = (float(beta[0]), float(beta[1]))
-    doc = svg.line_chart(chosen, style=style, scatter=args.mode == "scatter",
-                         regression=regression)
+    if args.regression:  # the OLS fit of y on x over the window
+        spec = estimate.LinkSpec(names[1], (estimate.Predictor(names[0]),), window=w)
+        seg = estimate.fit(spec, data).segments[0]
+        regression = (seg.intercept, seg.slopes[names[0]])
+    if args.mode == "scatter":
+        doc = svg.scatter_chart(*chosen, style=style, regression=regression)
+    else:
+        doc = svg.line_chart(chosen, style=style)
     out = _out_dir(args)
     target = out / (args.name or "chart.svg")
     ingest.write_atomic(target, doc)
@@ -277,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--manifest", help="dataset manifest JSON")
     parser.add_argument("--out", default="out", help="output directory (default: out)")
-    parser.add_argument("--format", help="comma-separated output formats: csv,json,svg")
+    parser.add_argument("--format", help="comma-separated forecast formats: csv,json,svg")
     parser.add_argument("--window", help="restrict to years Y1:Y2")
     parser.add_argument("--cache-dir", help="override the remote-fetch cache directory")
     sub = parser.add_subparsers(dest="command", required=True)

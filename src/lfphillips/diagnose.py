@@ -6,12 +6,12 @@ up on strong fits come out without overflow. The unit-root test is an
 augmented Dickey-Fuller regression with a constant and no trend, judged
 against the published constant-only critical-value table.
 
-Every regression in the package (both estimators, both scans, the ADF
-regression and the chart overlay) is solved by ``least_squares_stack``: one
+Every regression in the package is solved by ``least_squares_stack``: one
 batched R-only QR factorization of the augmented stack ``[X | y]``, whose R
 factors give the coefficients, the residual sum of squares, the rank test and
 the coefficient covariance without forming Q. A single regression is the
-stack of one.
+stack of one. Its callers are ``estimate._solve`` (fits, scans and the chart
+overlay, which is a fit) and ``adf_test``.
 """
 
 from __future__ import annotations

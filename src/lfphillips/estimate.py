@@ -12,10 +12,12 @@ Two estimators share one design builder and one stacked solve:
 A structural break splits the window into two segments estimated in a single
 solve; any coefficient (including the intercept) can be declared shared
 across segments, which is how the printed piecewise models with a common
-intercept or slope arise. A fit solves a stack of one design. Scans stack
-one design per candidate and keep only what they rank: a break-year scan
-keeps each objective SSE, and a lag scan, which stacks the lags of equal
-sample length together, keeps each lag's SSEs and R^2 (``LagScore``).
+intercept or slope arise. A fit is the scan of one: fits and both scans take
+the solution and the annual and cumulative curves of a design stack from
+``_stack_curves``, the one caller of ``_solve`` and so of the kernel. A fit
+reads everything off its stack of one. Scans keep only what they rank: a
+break-year scan each objective SSE, and a lag scan, which stacks the lags of
+equal sample length together, each lag's SSEs and R^2 (``LagScore``).
 
 Only ``_param_labels`` spells the coefficient labels, and only
 ``LinkSpec.to_dict``/``from_dict`` know the spec JSON.
@@ -43,7 +45,6 @@ from .series import AnnualSeries, align
 INTERCEPT = "intercept"
 # design entries per stacked solve in a scan: bounds its working memory
 _STACK_ENTRIES = 1 << 15
-LAG_CRITERIA = ("r2_annual", "r2_cumulative")
 
 
 def _check_name(field_name: str, value) -> None:
@@ -110,6 +111,8 @@ class LinkSpec:
             _check_name("shared coefficient", s)
             if s not in names:
                 raise InputError(f"shared coefficient {s!r} names no predictor")
+            if self.shared.count(s) > 1:
+                raise InputError(f"shared coefficient {s!r} is named more than once")
         if self.break_year is not None:
             object.__setattr__(self, "break_year", _integral("break_year", self.break_year))
         if self.window is not None:
@@ -341,33 +344,6 @@ def _sse(observed: np.ndarray, predicted: np.ndarray) -> np.ndarray:
     return (e[..., None, :] @ e[..., :, None])[..., 0, 0]
 
 
-def _build_result(spec, data, beta, stderr, dof, labels, X, yv, years) -> FitResult:
-    pred = X @ beta
-    resid = yv - pred
-    c_obs = np.cumsum(yv)
-    c_pred = np.cumsum(pred)
-    first, last = int(years[0]), int(years[-1])
-
-    names = [label for label, _, _ in labels]
-    pvalues = {label: t_pvalue(float(b) / se, dof) if se > 0 else float("nan")
-               for label, b, se in zip(names, beta, stderr)}
-
-    return FitResult(
-        spec=spec,
-        segments=_segments_from_coefficients(spec, labels, beta, first, last),
-        stderr={label: float(se) for label, se in zip(names, stderr)},
-        pvalues=pvalues,
-        r2_annual=float(r_squared_stack(yv, pred)),
-        r2_cumulative=float(r_squared_stack(c_obs, c_pred)),
-        residuals=AnnualSeries(first, resid, label="residuals",
-                               units=data[spec.response].units),
-        sigma=residual_sigma_values(resid),
-        window=(first, last),
-        sse_annual=float(_sse(yv, pred)),
-        sse_cumulative=float(_sse(c_obs, c_pred)),
-    )
-
-
 def _segments_from_coefficients(spec, labels, beta, first, last):
     """One SegmentCoefficients per segment; an untagged coefficient is in each."""
     if spec.break_year is None:
@@ -382,17 +358,37 @@ def _segments_from_coefficients(spec, labels, beta, first, last):
 
 
 def _fit(spec: LinkSpec, data: Mapping[str, AnnualSeries]) -> FitResult:
-    """One fit: the stack of one through the scan's design and solve."""
+    """One fit: the stack of one through the scan's design, solve and curves."""
     _check_shared(spec)
     yv, cols, years, labels = _fit_sample(spec, data)
     Xy = _design(labels, cols, years, [spec.break_year], yv)
-    (beta,), (rss,), (r_inv,), (full_rank,) = _solve(spec.estimator, Xy)
+    solution, annual, cumulative = _stack_curves(spec.estimator, Xy, yv)
+    (beta,), (rss,), (r_inv,), (full_rank,) = solution
     if not full_rank:
         raise EstimationError("degenerate design: zero-variance or collinear predictors")
     # classical errors: cov = s^2 (N R^-1)(N R^-1)', with N = I for OLS
     dof = len(years) - r_inv.shape[1]
     stderr = np.sqrt(float(rss) / dof) * np.linalg.norm(r_inv, axis=1)
-    return _build_result(spec, data, beta, stderr, dof, labels, Xy[0, :, :-1], yv, years)
+    names = [label for label, _, _ in labels]
+    resid = yv - annual[1][0]
+    first, last = int(years[0]), int(years[-1])
+    sse_annual, sse_cumulative, r2_annual, r2_cumulative = (
+        float(v[0]) for v in _scores(annual, cumulative))
+    return FitResult(
+        spec=spec,
+        segments=_segments_from_coefficients(spec, labels, beta, first, last),
+        stderr={label: float(se) for label, se in zip(names, stderr)},
+        pvalues={label: t_pvalue(float(b) / se, dof) if se > 0 else float("nan")
+                 for label, b, se in zip(names, beta, stderr)},
+        r2_annual=r2_annual,
+        r2_cumulative=r2_cumulative,
+        residuals=AnnualSeries(first, resid, label="residuals",
+                               units=data[spec.response].units),
+        sigma=residual_sigma_values(resid),
+        window=(first, last),
+        sse_annual=sse_annual,
+        sse_cumulative=sse_cumulative,
+    )
 
 
 def ols_fit(spec: LinkSpec, data: Mapping[str, AnnualSeries]) -> FitResult:
@@ -442,7 +438,6 @@ def scan_lag(
     data: Mapping[str, AnnualSeries],
     lag_range: Sequence[int] = range(-5, 6),
     predictor: str | None = None,
-    criterion: str | None = None,
 ) -> tuple[list[tuple[int, LagScore]], int]:
     """Exhaustive scan over integer lags of one predictor, scores only.
 
@@ -456,19 +451,16 @@ def scan_lag(
     candidate order, duplicates included.
 
     Every lag must be an integer. ``predictor`` (default: the first) must be
-    one of the spec's predictors and ``criterion`` one of ``LAG_CRITERIA``
-    (default: cumulative R^2 for cumulative fits, annual R^2 otherwise); the
-    best lag maximizes it. A NaN criterion never beats a real one; exact ties,
-    all-NaN included, go to the smallest |lag|, then the negative one.
+    one of the spec's predictors. The best lag maximizes the R^2 of the
+    estimator's own curves: cumulative R^2 for cumulative fits, annual R^2
+    otherwise. A NaN R^2 never beats a real one; exact ties, all-NaN
+    included, go to the smallest |lag|, then the negative one.
     """
     names = [p.name for p in spec.predictors]
     name = names[0] if predictor is None else predictor
     if name not in names:
         raise InputError(f"lag-scan predictor {name!r} is not in the spec {names}")
-    if criterion is None:
-        criterion = "r2_cumulative" if spec.estimator == "cumulative" else "r2_annual"
-    if criterion not in LAG_CRITERIA:
-        raise InputError(f"unknown lag-scan criterion {criterion!r}; use one of {LAG_CRITERIA}")
+    criterion = "r2_cumulative" if spec.estimator == "cumulative" else "r2_annual"
     _check_shared(spec)
     lags = [_integral("lag", lag) for lag in lag_range]
     labels = _param_labels(spec, spec.break_year is not None)
@@ -497,11 +489,17 @@ def _lag_scores(spec, labels, members) -> dict[int, LagScore]:
     yv = np.stack(yvs)
     Xy = _design(labels, {p.name: np.stack([c[p.name] for c in cols]) for p in spec.predictors},
                  np.stack(years), [spec.break_year] * len(lags), yv)
-    full_rank, annual, cumulative = _stack_curves(spec.estimator, Xy, yv)
-    rows = zip(_sse(*annual), _sse(*cumulative),
-               r_squared_stack(*annual), r_squared_stack(*cumulative))
+    (_, _, _, full_rank), annual, cumulative = _stack_curves(spec.estimator, Xy, yv)
+    rows = zip(*_scores(annual, cumulative))
     return {lag: LagScore(spec.estimator, *map(float, row))
             for lag, row, ok in zip(lags, rows, full_rank) if ok}
+
+
+def _scores(annual, cumulative):
+    """Annual and cumulative SSE, then annual and cumulative R^2, of the
+    (observed, predicted) curves."""
+    return (_sse(*annual), _sse(*cumulative),
+            r_squared_stack(*annual), r_squared_stack(*cumulative))
 
 
 def _rank_value(criterion: float) -> float:
@@ -540,7 +538,7 @@ def scan_break(
 def _break_sse(estimator, labels, cols, years, yv, break_years) -> list[tuple[int, float]]:
     """(year, objective SSE) of every full-rank candidate, in one stacked solve."""
     Xy = _design(labels, cols, years, break_years, yv)
-    full_rank, annual, cumulative = _stack_curves(estimator, Xy, yv)
+    (_, _, _, full_rank), annual, cumulative = _stack_curves(estimator, Xy, yv)
     sse = _sse(*(cumulative if estimator == "cumulative" else annual))
     return [(year, float(e)) for year, e, ok in zip(break_years, sse, full_rank) if ok]
 
@@ -553,11 +551,12 @@ def _passes(candidates: list, n: int, k: int) -> list[list]:
 
 
 def _stack_curves(estimator, Xy, yv):
-    """Full-rank mask and annual and cumulative (observed, predicted) curves
-    of every slice of a stack ``[X | y]`` whose y is ``yv``."""
-    beta, _, _, full_rank = _solve(estimator, Xy)
-    pred = matvec(Xy[..., :-1], beta)
-    return full_rank, (yv, pred), (np.cumsum(yv, axis=-1), np.cumsum(pred, axis=-1))
+    """``_solve``'s ``(beta, rss, N R^-1, full_rank)`` and the annual and
+    cumulative (observed, predicted) curves of every slice of a stack
+    ``[X | y]`` whose y is ``yv``."""
+    solution = _solve(estimator, Xy)
+    pred = matvec(Xy[..., :-1], solution[0])
+    return solution, (yv, pred), (np.cumsum(yv, axis=-1), np.cumsum(pred, axis=-1))
 
 
 def predict(

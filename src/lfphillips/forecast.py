@@ -30,27 +30,16 @@ class Scenario:
     horizon: tuple[int, int]
 
 
-def build_scenario(
-    labor_force: AnnualSeries | None = None,
-    horizon: tuple[int, int] | None = None,
-    population: AnnualSeries | None = None,
-    participation: float | None = None,
-) -> Scenario:
-    """Build a scenario from a direct LF path or population x participation.
+def build_scenario(labor_force: AnnualSeries, horizon: tuple[int, int]) -> Scenario:
+    """The scenario of a labor-force path, in persons, over ``horizon``.
 
     The path must cover the horizon plus the preceding year, since growth at
-    the first horizon year is a backward log-difference.
+    the first horizon year is a backward log-difference. A population path
+    becomes a labor-force path through ``ingest.participation_labor_force``
+    first, as ``load_scenario`` does.
     """
-    if horizon is None or horizon[0] > horizon[1]:
+    if horizon[0] > horizon[1]:
         raise InputError(f"bad horizon {horizon}")
-    if labor_force is None:
-        if population is None or participation is None:
-            raise InputError("provide labor_force, or population with a participation rate")
-        from .ingest import participation_labor_force
-
-        labor_force = participation_labor_force(population, participation)
-    elif population is not None:
-        raise InputError("give either labor_force or population, not both")
     if labor_force.start_year > horizon[0] - 1 or labor_force.end_year < horizon[1]:
         raise InputError(
             f"labor-force path {labor_force.start_year}..{labor_force.end_year} must cover "
@@ -237,7 +226,7 @@ def load_scenario(path) -> Scenario:
     as 2011.0 converts). A key outside the schema, or one that the named
     source would ignore, raises InputError naming it.
     """
-    from .ingest import read_csv_series
+    from .ingest import participation_labor_force, read_csv_series
 
     p = Path(path)
     try:
@@ -270,8 +259,8 @@ def load_scenario(path) -> Scenario:
     if source == "population_csv":
         pop = read_csv_series(_resolve(p, doc, source), "population", units,
                               label="population")
-        return build_scenario(population=pop, horizon=horizon,
-                              participation=_number(doc, "participation", float))
+        lf = participation_labor_force(pop, _number(doc, "participation", float))
+        return build_scenario(labor_force=lf, horizon=horizon)
     lin = doc["linear"]
     if not isinstance(lin, dict):
         raise InputError(f"scenario 'linear' must be an object, got {lin!r}")

@@ -1,11 +1,13 @@
-"""Deterministic SVG line and scatter charts.
+"""Deterministic SVG time and scatter charts.
 
 Charts are emitted as plain SVG text with fixed-precision coordinates, so
 identical inputs always produce byte-identical documents and golden-file
 diffs stay meaningful. No plotting library is involved. Every chart has the
-same size and plot area; ``ChartStyle`` holds only what callers set. A time
-chart labels its x axis "year" and its y axis ``y_label``; a scatter chart
-labels each axis with the label of the series it plots.
+same size, plot area, pixel scale and document layout; ``ChartStyle`` holds
+only what callers set. ``line_chart`` labels its x axis "year" and its y axis
+``y_label``. ``scatter_chart`` labels each axis with the label of the series
+it plots and draws the regression line it is given (the CLI's is
+``estimate.fit``'s); this module solves nothing.
 """
 
 from __future__ import annotations
@@ -59,28 +61,54 @@ def _tick_label(v: float, percent: bool) -> str:
     return f"{v:g}"
 
 
-def line_chart(
-    series: Sequence[AnnualSeries],
-    style: ChartStyle | None = None,
-    scatter: bool = False,
-    regression: tuple[float, float] | None = None,
-) -> str:
-    """Render series as polylines (or point markers with ``scatter``).
-
-    In time mode all series must share a units tag so the y axis is coherent.
-    In scatter mode the first series supplies x values and the second supplies
-    y values over their common years, each on its own axis; ``regression``
-    draws an (intercept, slope) line.
-    """
+def line_chart(series: Sequence[AnnualSeries], style: ChartStyle | None = None) -> str:
+    """Render series as polylines over their years; all share one units tag."""
     if not series:
         raise InputError("no series to plot")
-    style = style or ChartStyle()
-    if scatter:
-        return _scatter_chart(series, style, regression)
     units = {s.units for s in series}
     if len(units) > 1:
         raise InputError(f"mixed units on one axis: {sorted(units)}")
-    return _time_chart(series, style)
+    style = style or ChartStyle()
+    lo_year = min(s.start_year for s in series)
+    hi_year = max(s.end_year for s in series)
+    lo_v, hi_v = _padded(min(min(s.values) for s in series), max(max(s.values) for s in series))
+    sx, sy = _scales(lo_year, max(hi_year - lo_year, 1), lo_v, hi_v - lo_v)
+    marks = []
+    for i, s in enumerate(series):
+        color = _PALETTE[i % len(_PALETTE)]
+        points = " ".join(f"{_fmt(sx(y))},{_fmt(sy(v))}" for y, v in zip(s.years, s.values))
+        marks.append(f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{points}"/>')
+    axes = _axes(style, _year_ticks(lo_year, hi_year), _nice_ticks(lo_v, hi_v), sx, sy,
+                 "year", style.y_label)
+    return _document(style, axes, marks, [s.label for s in series])
+
+
+def scatter_chart(x: AnnualSeries, y: AnnualSeries, style: ChartStyle | None = None,
+                  regression: tuple[float, float] | None = None) -> str:
+    """Render ``y`` against ``x`` as points over their common years, each on
+    its own axis; ``regression`` draws an (intercept, slope) line across x."""
+    style = style or ChartStyle()
+    xs, ys = (v.tolist() for v in align([(x, 0), (y, 0)])[0])
+    lo_x, hi_x = min(xs), max(xs)
+    lo_y, hi_y = min(ys), max(ys)
+    if regression is not None:
+        a, b = regression
+        lo_y = min(lo_y, a + b * lo_x, a + b * hi_x)
+        hi_y = max(hi_y, a + b * lo_x, a + b * hi_x)
+    lo_x, hi_x = _padded(lo_x, hi_x)
+    lo_y, hi_y = _padded(lo_y, hi_y)
+    sx, sy = _scales(lo_x, hi_x - lo_x, lo_y, hi_y - lo_y)
+    marks = [f'<circle cx="{_fmt(sx(xv))}" cy="{_fmt(sy(yv))}" r="3" fill="{_PALETTE[0]}"/>'
+             for xv, yv in zip(xs, ys)]
+    if regression is not None:
+        marks.append(
+            f'<line x1="{_fmt(sx(lo_x))}" y1="{_fmt(sy(a + b * lo_x))}" '
+            f'x2="{_fmt(sx(hi_x))}" y2="{_fmt(sy(a + b * hi_x))}" '
+            f'stroke="{_PALETTE[1]}" stroke-width="2"/>'
+        )
+    axes = _axes(style, _nice_ticks(lo_x, hi_x), _nice_ticks(lo_y, hi_y), sx, sy,
+                 x.label, y.label, x_percent=style.percent_axis)
+    return _document(style, axes, marks, [x.label, y.label])
 
 
 def _padded(lo: float, hi: float) -> tuple[float, float]:
@@ -91,7 +119,17 @@ def _padded(lo: float, hi: float) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def _header(style: ChartStyle) -> list[str]:
+def _scales(x_lo: float, x_span: float, y_lo: float, y_span: float):
+    """Pixel maps onto the plot area: x_lo..x_lo + x_span runs left to right
+    and y_lo..y_lo + y_span bottom to top."""
+    x0, y0, x1, y1 = _FRAME
+    return (lambda v: x0 + (v - x_lo) / x_span * (x1 - x0),
+            lambda v: y1 - (v - y_lo) / y_span * (y1 - y0))
+
+
+def _document(style: ChartStyle, axes: list[str], marks: list[str],
+              labels: Sequence[str]) -> str:
+    """The SVG text: header and title, axes, marks, then a legend entry per label."""
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
@@ -102,7 +140,7 @@ def _header(style: ChartStyle) -> list[str]:
             f'<text x="{_WIDTH // 2}" y="20" text-anchor="middle" '
             f'font-family="sans-serif" font-size="14">{_escape(style.title)}</text>'
         )
-    return parts
+    return "\n".join(parts + axes + marks + _legend(labels) + ["</svg>"]) + "\n"
 
 
 def _escape(text: str) -> str:
@@ -159,31 +197,6 @@ def _legend(labels: Sequence[str]) -> list[str]:
     return parts
 
 
-def _time_chart(series: Sequence[AnnualSeries], style: ChartStyle) -> str:
-    x0, y0, x1, y1 = _FRAME
-    lo_year = min(s.start_year for s in series)
-    hi_year = max(s.end_year for s in series)
-    lo_v, hi_v = _padded(min(min(s.values) for s in series), max(max(s.values) for s in series))
-    span_years = max(hi_year - lo_year, 1)
-
-    def sx(year: float) -> float:
-        return x0 + (year - lo_year) / span_years * (x1 - x0)
-
-    def sy(v: float) -> float:
-        return y1 - (v - lo_v) / (hi_v - lo_v) * (y1 - y0)
-
-    parts = _header(style)
-    parts += _axes(style, _year_ticks(lo_year, hi_year), _nice_ticks(lo_v, hi_v), sx, sy,
-                   "year", style.y_label)
-    for i, s in enumerate(series):
-        color = _PALETTE[i % len(_PALETTE)]
-        points = " ".join(f"{_fmt(sx(y))},{_fmt(sy(v))}" for y, v in zip(s.years, s.values))
-        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{points}"/>')
-    parts += _legend([s.label for s in series])
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
 def _year_ticks(lo: int, hi: int) -> list[float]:
     span = max(hi - lo, 1)
     step = max(1, int(math.ceil(span / 8)))
@@ -194,43 +207,3 @@ def _year_ticks(lo: int, hi: int) -> list[float]:
             break
     first = int(math.ceil(lo / step)) * step
     return [float(t) for t in range(first, hi + 1, step)]
-
-
-def _scatter_chart(series: Sequence[AnnualSeries], style: ChartStyle,
-                   regression: tuple[float, float] | None) -> str:
-    if len(series) != 2:
-        raise InputError("scatter mode needs exactly two series (x then y)")
-    xs, ys = (v.tolist() for v in align([(series[0], 0), (series[1], 0)])[0])
-    # axes: x from first series, y from second; units may differ per axis
-    x0, y0, x1, y1 = _FRAME
-    lo_x, hi_x = min(xs), max(xs)
-    lo_y, hi_y = min(ys), max(ys)
-    if regression is not None:
-        a, b = regression
-        lo_y = min(lo_y, a + b * lo_x, a + b * hi_x)
-        hi_y = max(hi_y, a + b * lo_x, a + b * hi_x)
-    lo_x, hi_x = _padded(lo_x, hi_x)
-    lo_y, hi_y = _padded(lo_y, hi_y)
-
-    def sx(v: float) -> float:
-        return x0 + (v - lo_x) / (hi_x - lo_x) * (x1 - x0)
-
-    def sy(v: float) -> float:
-        return y1 - (v - lo_y) / (hi_y - lo_y) * (y1 - y0)
-
-    parts = _header(style)
-    parts += _axes(style, _nice_ticks(lo_x, hi_x), _nice_ticks(lo_y, hi_y), sx, sy,
-                   series[0].label, series[1].label, x_percent=style.percent_axis)
-    for xv, yv in zip(xs, ys):
-        parts.append(f'<circle cx="{_fmt(sx(xv))}" cy="{_fmt(sy(yv))}" r="3" '
-                     f'fill="{_PALETTE[0]}"/>')
-    if regression is not None:
-        a, b = regression
-        parts.append(
-            f'<line x1="{_fmt(sx(lo_x))}" y1="{_fmt(sy(a + b * lo_x))}" '
-            f'x2="{_fmt(sx(hi_x))}" y2="{_fmt(sy(a + b * hi_x))}" '
-            f'stroke="{_PALETTE[1]}" stroke-width="2"/>'
-        )
-    parts += _legend([series[0].label, series[1].label])
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"

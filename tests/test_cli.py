@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,10 +12,11 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from lfphillips import estimate, forecast, ingest
+from lfphillips import estimate, forecast, ingest, svg
 from lfphillips.cli import main
 from lfphillips.estimate import LinkSpec
 from lfphillips.oracle import SynthSpec, generate
+from lfphillips.series import AnnualSeries
 from tests.conftest import DATA_DIR
 
 
@@ -53,6 +55,22 @@ def break_fixture(tmp_path):
 
 def run(*argv):
     return main(list(argv))
+
+
+ROOT = Path(__file__).resolve().parent.parent
+SUBCOMMANDS = ("fit", "scan-lag", "scan-break", "diagnose", "forecast", "plot", "fetch")
+
+
+def readme_cli_examples():
+    """Each command of the first ``sh`` block under README's "## CLI", split as
+    a shell would split it."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("\n## CLI\n"):]
+    block = section[section.index("```sh\n") + len("```sh\n"):]
+    block = block[:block.index("```")].replace("\\\n", " ")
+    commands = [shlex.split(line) for line in block.splitlines() if line.strip()]
+    return [pytest.param(argv, id=f"{i}-{next(a for a in argv[1:] if a in SUBCOMMANDS)}")
+            for i, argv in enumerate(commands)]
 
 
 class TestExitCodes:
@@ -413,6 +431,14 @@ class TestForecast:
         assert (out / "forecast_inflation.svg").exists()
         assert (out / "forecast_unemployment.svg").exists()
 
+    @pytest.mark.parametrize("formats", ["xml", "csv,xml"])
+    def test_unknown_format(self, japan_scenario_path, tmp_path, capsys, formats):
+        assert run("--out", str(tmp_path / "o"), "--format", formats,
+                   "forecast", "--scenario", str(japan_scenario_path)) == 2
+        assert capsys.readouterr().err.startswith(
+            "usage error: unknown --format 'xml'; use csv, json or svg")
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_model(self, japan_scenario_path, tmp_path):
         assert run("--out", str(tmp_path / "o"), "forecast",
                    "--scenario", str(japan_scenario_path), "--models", "eq99") == 1
@@ -458,6 +484,71 @@ class TestPlot:
         assert run("--manifest", str(DATA_DIR / "manifest.json"),
                    "--out", str(tmp_path / "o"),
                    "plot", "--series", "cpi,labor_force") == 1
+
+    @pytest.mark.parametrize("series", ["cpi", "cpi,dgdp,unemployment"])
+    @pytest.mark.parametrize("regression", [[], ["--regression"]])
+    def test_scatter_needs_two_series(self, tmp_path, capsys, series, regression):
+        assert run("--manifest", str(DATA_DIR / "manifest.json"), "--out", str(tmp_path / "o"),
+                   "plot", "--series", series, "--mode", "scatter", *regression) == 1
+        err = capsys.readouterr().err
+        assert err == "error: scatter mode needs exactly two series (x then y)\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_regression_needs_scatter_mode(self, tmp_path, capsys):
+        assert run("--manifest", str(DATA_DIR / "manifest.json"), "--out", str(tmp_path / "o"),
+                   "plot", "--series", "cpi", "--regression") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --regression needs --mode scatter")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("window", [[], ["--window", "1990:2000"]])
+    def test_overlay_is_the_fit(self, monkeypatch, tmp_path, japan, window):
+        seen = []
+        real = svg.scatter_chart
+
+        def capture(x, y, style=None, regression=None):
+            seen.append(regression)
+            return real(x, y, style=style, regression=regression)
+
+        monkeypatch.setattr(svg, "scatter_chart", capture)
+        assert run("--manifest", str(DATA_DIR / "manifest.json"), "--out", str(tmp_path / "o"),
+                   *window, "plot", "--series", "unemployment,cpi", "--mode", "scatter",
+                   "--regression") == 0
+        spec = LinkSpec("cpi", (estimate.Predictor("unemployment"),),
+                        window=(1990, 2000) if window else None)
+        # bit for bit: the line is the fit's (intercept, slope)
+        assert seen == [tuple(estimate.fit(spec, japan).coefficient_table().values())]
+
+    @pytest.mark.parametrize("x, message", [
+        # three years in common with y
+        ([0.01, 0.02, 0.04], "error: sample of 3 too small for 2 coefficients"),
+        ([0.03] * 12, "error: predictor 'x' has zero variance on the window"),
+    ])
+    def test_overlay_refuses_what_fit_refuses(self, tmp_path, capsys, x, message):
+        ingest.write_csv_series(AnnualSeries(1990, x), tmp_path / "x.csv")
+        ingest.write_csv_series(AnnualSeries(1980, [0.01 * i for i in range(26)]),
+                                tmp_path / "y.csv")
+        manifest = {"series": {
+            name: {"path": f"{name}.csv", "kind": "unemployment", "units": "fraction"}
+            for name in ("x", "y")}}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        argv = ["--manifest", str(tmp_path / "manifest.json"), "--out", str(tmp_path / "o"),
+                "plot", "--series", "x,y", "--mode", "scatter"]
+        assert run(*argv) == 0
+        capsys.readouterr()
+        assert run(*argv, "--regression") == 1
+        assert capsys.readouterr().err.startswith(message)
+
+
+class TestReadmeExamples:
+    @pytest.mark.parametrize("argv", readme_cli_examples())
+    def test_cli_example_exits_0(self, monkeypatch, tmp_path, argv):
+        assert argv[0] == "lfphillips" and "--out" in argv
+        argv = argv[1:]
+        argv[argv.index("--out") + 1] = str(tmp_path / "out")
+        monkeypatch.chdir(ROOT)  # the examples name data/ relative to the repository
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
 
 
 class TestFetchCommand:
@@ -547,6 +638,20 @@ class TestDeterminism:
         digest = hashlib.sha256((out / "chart.svg").read_bytes()).hexdigest()
         assert digest == self.SCATTER_SHA256
 
+    # sha256 of two time charts; a time chart does only Python float arithmetic
+    LINE_SHA256 = {
+        "cpi,dgdp": "f0fea6af875102d1116a4f7185a06fe08e10a5e02aa1c6268a7cea5904e906cf",
+        "labor_force": "01b34a9ab205e0e42540ff78d71bae3c60c3025a8edc7f18bc930ff49fe92aa3",
+    }
+
+    @pytest.mark.parametrize("series", sorted(LINE_SHA256))
+    def test_line_bytes_are_pinned(self, tmp_path, series):
+        out = tmp_path / "o"
+        assert run("--manifest", str(DATA_DIR / "manifest.json"), "--out", str(out),
+                   "plot", "--series", series) == 0
+        digest = hashlib.sha256((out / "chart.svg").read_bytes()).hexdigest()
+        assert digest == self.LINE_SHA256[series]
+
     def test_plot_byte_identical(self, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -614,6 +719,9 @@ class TestSpecParsing:
         ({"response": "cpi", "predictors": ["unemployment"]}, "predictor must be a JSON object"),
         ({"response": "cpi", "predictors": [{"name": "unemployment"}], "shared": ["intercept"]},
          '"shared" [\'intercept\'] needs a "break_year"'),
+        ({"response": "cpi", "predictors": [{"name": "unemployment"}], "break_year": 1990,
+          "shared": ["unemployment", "unemployment"]},
+         "shared coefficient 'unemployment' is named more than once"),
     ])
     def test_refused_spec(self, tmp_path, capsys, spec, message):
         assert self.run_spec(tmp_path, "fit", spec) == 1
@@ -630,6 +738,15 @@ class TestSpecParsing:
         err = capsys.readouterr().err
         assert "predictor 'unemployment' is named more than once" in err
         assert "Traceback" not in err
+
+    def test_inline_share_named_twice(self, tmp_path, capsys):
+        assert run("--manifest", str(DATA_DIR / "manifest.json"), "--out", str(tmp_path / "o"),
+                   "fit", "--response", "cpi", "--predictor", "unemployment",
+                   "--break-year", "1990", "--share", "unemployment",
+                   "--share", "unemployment") == 1
+        err = capsys.readouterr().err
+        assert err == "error: shared coefficient 'unemployment' is named more than once\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flag", ["unemployment:1.5", "unemployment:x"])
     def test_inline_predictor_with_a_bad_lag(self, tmp_path, capsys, flag):

@@ -643,11 +643,8 @@ class TestLagScores:
     @pytest.mark.parametrize("kwargs, message", [
         ({"predictor": "z"}, "predictor 'z'"),
         ({"predictor": "y"}, "predictor 'y'"),
-        ({"criterion": "sigma"}, "criterion 'sigma'"),
-        ({"criterion": "r2"}, "criterion 'r2'"),
-        ({"criterion": "objective_sse"}, "criterion 'objective_sse'"),
     ])
-    def test_bad_predictor_or_criterion(self, kwargs, message):
+    def test_bad_predictor(self, kwargs, message):
         with pytest.raises(InputError, match=message):
             scan_lag(single_spec(), ragged_data(), range(-5, 6), **kwargs)
 
@@ -667,10 +664,11 @@ class TestLagScores:
         with pytest.raises(InputError, match="^lag must be an integer"):
             scan_lag(single_spec(), ragged_data(), [0, lag])
 
-    def test_explicit_criterion_overrides_the_default(self):
-        data = ragged_data()
-        results, best = scan_lag(single_spec(), data, range(-5, 6), criterion="r2_cumulative")
-        assert best == max(results, key=lambda item: item[1].r2_cumulative)[0]
+    @pytest.mark.parametrize("estimator, criterion", [("ols", "r2_annual"),
+                                                      ("cumulative", "r2_cumulative")])
+    def test_best_lag_maximizes_the_estimators_r2(self, estimator, criterion):
+        results, best = scan_lag(single_spec(estimator), ragged_data(), range(-5, 6))
+        assert best == max(results, key=lambda item: getattr(item[1], criterion))[0]
 
 
 class TestDuplicatePredictors:
@@ -683,6 +681,15 @@ class TestDuplicatePredictors:
     def test_refused_predictor_names(self, predictors, message):
         with pytest.raises(InputError, match=message):
             LinkSpec("y", tuple(Predictor(name, lag) for name, lag in predictors))
+
+    @pytest.mark.parametrize("shared, name", [
+        (("intercept", "intercept"), "intercept"),
+        (("x", "intercept", "x"), "x"),
+    ])
+    def test_shared_coefficient_named_twice(self, shared, name):
+        message = f"^shared coefficient '{name}' is named more than once"
+        with pytest.raises(InputError, match=message):
+            LinkSpec("y", (Predictor("x"),), break_year=1990, shared=shared)
 
     def test_other_names_still_fit(self):
         spec = LinkSpec("y", (Predictor("x"), Predictor("z", 1)))

@@ -35,16 +35,6 @@ class TestBuildScenario:
         s = build_scenario(labor_force=lf_path([1e6] * 10), horizon=(2011, 2019))
         assert all(v == 0.0 for v in s.growth.values)
 
-    def test_population_times_participation(self):
-        pop = lf_path([128_600_000.0] * 5)
-        s1 = build_scenario(population=pop, participation=0.521, horizon=(2011, 2014))
-        s2 = build_scenario(
-            labor_force=lf_path([128_600_000.0 * 0.521] * 5), horizon=(2011, 2014)
-        )
-        assert s1.labor_force.values == pytest.approx(s2.labor_force.values, rel=1e-15)
-        # growth is scale-free, so participation cancels out of it
-        assert s1.growth.values == pytest.approx(s2.growth.values, abs=1e-15)
-
     def test_mean_growth_of_published_decline(self, decline):
         mean = sum(decline.growth.values) / len(decline.growth.values)
         assert mean == pytest.approx(math.log(57 / 67) / 40, abs=1e-4)
