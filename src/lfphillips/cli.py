@@ -2,7 +2,8 @@
 
 Subcommands: fit, scan-lag, scan-break, diagnose, forecast, plot, fetch.
 Artifacts go to the --out directory (created if absent); inputs are never
-mutated. Exit codes: 0 success, 1 data/model error, 2 usage error.
+mutated. Exit codes: 0 success, 1 data/model error, 2 usage error. A global
+flag that the subcommand does not read is a usage error, not ignored.
 
 Model specs can be given as a JSON file (--spec, the canonical form, read
 by ``LinkSpec.from_dict`` and echoed into outputs by ``LinkSpec.to_dict``) or
@@ -28,12 +29,31 @@ class UsageError(LfphillipsError):
     """Command invoked with missing or malformed flags (exit code 2)."""
 
 
+# the subcommands that read each global flag; any other refuses it rather
+# than run without it (forecast takes --manifest, which it does not read)
+_FLAG_READERS = {
+    "--format": ("forecast",),
+    "--window": ("fit", "scan-lag", "scan-break", "diagnose", "plot"),
+    "--cache-dir": ("fit", "scan-lag", "scan-break", "diagnose", "plot", "fetch"),
+}
+
+
+def _check_global_flags(args) -> None:
+    for flag, readers in _FLAG_READERS.items():
+        if getattr(args, flag[2:].replace("-", "_")) is not None and args.command not in readers:
+            raise UsageError(f"{flag} has no effect on {args.command}; "
+                             f"it is read by {', '.join(readers)}")
+
+
 def _parse_window(text: str) -> tuple[int, int]:
     try:
         a, b = text.split(":")
-        return int(a), int(b)
+        first, last = int(a), int(b)
     except ValueError as exc:
         raise InputError(f"bad window {text!r}; expected Y1:Y2") from exc
+    if first > last:
+        raise InputError(f"empty window {first}:{last}")
+    return first, last
 
 
 def _parse_range(text: str) -> range:
@@ -225,8 +245,13 @@ def cmd_plot(args) -> int:
         raise InputError(f"series not in manifest: {missing}")
     chosen = [data[n] for n in names]
     w = _parse_window(args.window) if args.window else None
-    if w:
-        chosen = [s.window(max(w[0], s.start_year), min(w[1], s.end_year)) for s in chosen]
+    if w:  # clipped to each series, which it must overlap
+        for i, (name, s) in enumerate(zip(names, chosen)):
+            first, last = max(w[0], s.start_year), min(w[1], s.end_year)
+            if first > last:
+                raise InputError(f"window {w[0]}:{w[1]} does not overlap series {name!r} "
+                                 f"({s.start_year}..{s.end_year})")
+            chosen[i] = s.window(first, last)
     # rates are fractions shown in percent; a persons level is shown as is
     percent = all(s.units != "persons" for s in chosen)
     style = svg.ChartStyle(title=args.title or ",".join(names), percent_axis=percent)
@@ -335,6 +360,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_global_flags(args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -11,7 +11,10 @@ batched R-only QR factorization of the augmented stack ``[X | y]``, whose R
 factors give the coefficients, the residual sum of squares, the rank test and
 the coefficient covariance without forming Q. A single regression is the
 stack of one. Its callers are ``estimate._solve`` (fits, scans and the chart
-overlay, which is a fit) and ``adf_test``.
+overlay, which is a fit) and ``adf_test``. Both hand it stacks whose slices
+are column-major, the layout LAPACK's QR reads without a transposing copy;
+``adf_test`` writes its regression one row per column and passes the
+transpose.
 """
 
 from __future__ import annotations
@@ -193,16 +196,19 @@ def adf_test(series: AnnualSeries, lag_order: int = 0) -> AdfResult:
     if np.ptp(s) == 0.0:
         raise DomainError("constant series has no unit-root regression")
     ds = np.diff(s)
-    # rows are t = lag_order+1 .. len(ds)-1 in difference indexing
-    y = ds[lag_order:]
-    n = len(y)
-    cols = [np.ones(n), s[lag_order:-1]]
-    for k in range(1, lag_order + 1):
-        cols.append(ds[lag_order - k : len(ds) - k])
-    dof = n - len(cols)
+    # rows are t = lag_order+1 .. len(ds)-1 in difference indexing; the
+    # regression [1, s_t-1, ds_t-1 .. ds_t-p | ds_t] is written one row per
+    # column, so its transpose is the column-major stack LAPACK's QR reads
+    n = len(ds) - lag_order
+    k = lag_order + 2
+    dof = n - k
     if dof <= 0:
         raise InputError("not enough observations for the ADF regression")
-    (beta,), (rss,), (r_inv,), (ok,) = least_squares_stack(np.column_stack(cols + [y])[None])
+    Xy = np.empty((k + 1, n))
+    Xy[0], Xy[1], Xy[-1] = 1.0, s[lag_order:-1], ds[lag_order:]
+    for j in range(1, lag_order + 1):
+        Xy[1 + j] = ds[lag_order - j : len(ds) - j]
+    (beta,), (rss,), (r_inv,), (ok,) = least_squares_stack(Xy.T[None])
     se = math.sqrt(float(rss) / dof) * float(np.linalg.norm(r_inv[1]))
     if not ok or se == 0.0:
         raise DomainError("degenerate ADF regression")

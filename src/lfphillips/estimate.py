@@ -19,6 +19,11 @@ reads everything off its stack of one. Scans keep only what they rank: a
 break-year scan each objective SSE, and a lag scan, which stacks the lags of
 equal sample length together, each lag's SSEs and R^2 (``LagScore``).
 
+Design stacks are column-major in every slice: ``_design`` fills an
+(m, k+1, n) buffer one row per column and hands out its transposed view, and
+the cumulative estimator forms its reduced stack as (M' C')', so LAPACK's QR
+reads each slice without a transposing copy.
+
 Only ``_param_labels`` spells the coefficient labels, and only
 ``LinkSpec.to_dict``/``from_dict`` know the spec JSON.
 """
@@ -298,22 +303,26 @@ def _design(labels, cols: Mapping[str, np.ndarray], years: np.ndarray,
     """(m, n, k) design stack, one slice per break year (None: no break), or
     the (m, n, k+1) stack ``[X | y]`` of the solve when given a response ``yv``.
     ``years``, ``yv`` and each column are (n,) when every slice shares them,
-    or (m, n) with one row per slice."""
+    or (m, n) with one row per slice.
+
+    The stack is the transposed view of an (m, k or k+1, n) buffer filled
+    one row per column, so every slice is column-major: the layout LAPACK's QR reads
+    without a transposing copy, and in which a column is contiguous."""
     # no break: every year is pre-break, which an untagged design never reads
     cuts = np.array([math.inf if b is None else b for b in break_years])
     post = years >= cuts[:, None]
-    X = np.empty(post.shape + (len(labels) + (yv is not None),))
+    rows = np.empty((len(post), len(labels) + (yv is not None), post.shape[-1]))
     if yv is not None:
-        X[:, :, -1] = yv
+        rows[:, -1] = yv
     for j, (_, name, tag) in enumerate(labels):
         base = 1.0 if name == INTERCEPT else cols[name]
         if tag == "pre":
-            X[:, :, j] = np.where(post, 0.0, base)
+            rows[:, j] = np.where(post, 0.0, base)
         elif tag == "post":
-            X[:, :, j] = np.where(post, base, 0.0)
+            rows[:, j] = np.where(post, base, 0.0)
         else:
-            X[:, :, j] = base
-    return X
+            rows[:, j] = base
+    return np.swapaxes(rows, -1, -2)
 
 
 def _solve(estimator: str, Xy: np.ndarray):
@@ -325,16 +334,20 @@ def _solve(estimator: str, Xy: np.ndarray):
     """
     if estimator != "cumulative":
         return least_squares_stack(Xy)
-    C, k = np.cumsum(Xy, axis=-2), Xy.shape[-1] - 1
+    # cumulate the rows of the transposed stack: with _design's column-major
+    # slices they are contiguous, and so is the reduced stack built from them
+    Ct, k = np.cumsum(np.swapaxes(Xy, -1, -2), axis=-1), Xy.shape[-1] - 1
     # Eliminate the endpoint constraint c.z = d ([c | d]: last cumulated row):
     # z = z0 + N w, with N the trailing columns of the complete QR of c.
     # c never vanishes, because its intercept entries count observations.
-    # [A | b] [[N, -z0], [0, 1]] = [A N | b - A z0] is the reduced stack.
-    q, r = np.linalg.qr(np.swapaxes(C[:, -1:, :k], -1, -2), mode="complete")
-    z0, nullspace = q[:, :, 0] * (C[:, -1, k:] / r[:, :1, 0]), q[:, :, 1:]
-    M = np.zeros((len(C), k + 1, k))
+    # [A | b] [[N, -z0], [0, 1]] = [A N | b - A z0] is the reduced stack,
+    # formed as (M' C')' so that its slices stay column-major.
+    q, r = np.linalg.qr(Ct[:, :k, -1:], mode="complete")
+    z0, nullspace = q[:, :, 0] * (Ct[:, k:, -1] / r[:, :1, 0]), q[:, :, 1:]
+    M = np.zeros((len(Ct), k + 1, k))
     M[:, :k, :-1], M[:, :k, -1], M[:, k, -1] = nullspace, -z0, 1.0
-    w, rss, r_inv, full_rank = least_squares_stack(C @ M)
+    reduced = np.swapaxes(np.swapaxes(M, -1, -2) @ Ct, -1, -2)
+    w, rss, r_inv, full_rank = least_squares_stack(reduced)
     return z0 + matvec(nullspace, w), rss, nullspace @ r_inv, full_rank
 
 

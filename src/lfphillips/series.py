@@ -5,10 +5,11 @@ floats with a units tag. All rate-typed values are dimensionless fractions
 (0.05 means 5% per year); percent exists only at the ingest and plotting
 boundaries. Every operation here is a pure function returning a new series.
 
-A series holds its values twice, both built once at construction: ``values``
-is the public tuple of Python floats, and ``array`` is a read-only float64
-ndarray of the same numbers, which numeric code (alignment, ADF) reads
-instead of converting the tuple again.
+A series holds its values once, as ``array``: a read-only float64 ndarray
+built and validated at construction, which numeric code (alignment, fits,
+ADF) reads as it is. The public ``values`` tuple of Python floats is built
+from it the first time it is read, so a residual, prediction or windowed
+copy costs no Python float unless something prints or compares it.
 
 ``align`` is the one rule that pairs series by year and lag: every fit,
 scan, prediction and scatter chart takes its aligned values from it.
@@ -27,6 +28,26 @@ from .errors import DomainError, InputError
 VALID_UNITS = ("fraction-per-year", "fraction", "persons")
 
 
+class _Values:
+    """The ``values`` field of :class:`AnnualSeries`.
+
+    The constructor's argument is kept as given until ``__post_init__`` has
+    validated it into ``array``; afterwards the tuple of Python floats is
+    built from ``array`` on the first read and cached.
+    """
+
+    def __get__(self, obj, owner=None):
+        if obj is None:  # read on the class: the field has no default
+            raise AttributeError("values")
+        values = obj.__dict__["_values"]
+        if values is None:
+            values = obj.__dict__["_values"] = tuple(obj.array.tolist())
+        return values
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__["_values"] = value
+
+
 @dataclass(frozen=True)
 class AnnualSeries:
     """Consecutive annual values starting at ``start_year``.
@@ -34,20 +55,21 @@ class AnnualSeries:
     Gaps are illegal by construction; a missing year must be handled at
     ingest time, never silently interpolated.
 
-    ``values`` may be given as any iterable of numbers, an ndarray included;
-    it is stored as the public tuple of Python floats. ``array`` is derived
-    from it: a read-only float64 ndarray, bit-equal to ``values``, for
-    numeric code to read without a conversion.
+    ``values`` may be given as any iterable of numbers, an ndarray included.
+    It is validated and stored once, as ``array``: a read-only float64
+    ndarray. Reading ``values`` gives the public tuple of Python floats,
+    bit-equal to ``array``, built on the first read; equality, hashing and
+    ``repr`` compare and show that tuple.
     """
 
     start_year: int
-    values: tuple[float, ...]
+    values: tuple[float, ...] = _Values()
     label: str = ""
     units: str = "fraction"
     array: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        values = self.values
+        values = self.__dict__["_values"]
         if not isinstance(values, (tuple, list, np.ndarray)):
             values = list(values)
         arr = np.array(values, dtype=np.float64)
@@ -62,24 +84,28 @@ class AnnualSeries:
             bad = int(np.argmin(finite))
             raise InputError(f"non-finite value at year {self.start_year + bad}")
         arr.flags.writeable = False
-        object.__setattr__(self, "values", tuple(arr.tolist()))
-        object.__setattr__(self, "array", arr)
+        self.__dict__.update(_values=None, array=arr)
+
+    def __reduce__(self):
+        # copies and pickles go through the constructor, so they are validated
+        # and their array is read-only like the original's
+        return type(self), (self.start_year, self.array, self.label, self.units)
 
     @property
     def end_year(self) -> int:
-        return self.start_year + len(self.values) - 1
+        return self.start_year + len(self.array) - 1
 
     @property
     def years(self) -> range:
         return range(self.start_year, self.end_year + 1)
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.array)
 
     def value(self, year: int) -> float:
         if not (self.start_year <= year <= self.end_year):
             raise InputError(f"year {year} outside series range {self.start_year}..{self.end_year}")
-        return self.values[year - self.start_year]
+        return float(self.array[year - self.start_year])
 
     def window(self, first: int, last: int) -> "AnnualSeries":
         """Restrict to the years first..last (inclusive)."""
@@ -93,7 +119,7 @@ class AnnualSeries:
         return replace(self, start_year=first, values=self.array[lo : lo + (last - first + 1)])
 
     def relabel(self, label: str) -> "AnnualSeries":
-        return replace(self, label=label)
+        return replace(self, label=label, values=self.array)
 
     def scale(self, factor: float) -> "AnnualSeries":
         return replace(self, values=self.array * factor)

@@ -540,6 +540,82 @@ class TestPlot:
         assert capsys.readouterr().err.startswith(message)
 
 
+class TestPlotWindow:
+    def test_window_outside_the_series_is_named_as_given(self, tmp_path, capsys):
+        assert run("--manifest", str(DATA_DIR / "manifest.json"), "--out", str(tmp_path / "o"),
+                   "--window", "1900:1910", "plot", "--series", "cpi") == 1
+        err = capsys.readouterr().err
+        assert err == "error: window 1900:1910 does not overlap series 'cpi' (1971..2012)\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_reversed_window_is_empty(self, tmp_path, capsys):
+        assert run("--manifest", str(DATA_DIR / "manifest.json"), "--out", str(tmp_path / "o"),
+                   "--window", "2010:2000", "plot", "--series", "cpi") == 1
+        assert capsys.readouterr().err == "error: empty window 2010:2000\n"
+
+    def test_partly_overlapping_window_is_clipped(self, tmp_path, japan):
+        out = tmp_path / "o"
+        assert run("--manifest", str(DATA_DIR / "manifest.json"), "--out", str(out),
+                   "--window", "2000:2030", "plot", "--series", "cpi") == 0
+        clipped = svg.line_chart([japan["cpi"].window(2000, 2012)],
+                                 style=svg.ChartStyle(title="cpi", percent_axis=True))
+        assert (out / "chart.svg").read_text() == clipped
+
+
+# the CLI commands of the benchmark's japan-cli workload (its seventh op,
+# reproduce_japan.py, takes no global flag and runs in tests/test_scripts.py)
+JAPAN_CLI = {
+    "fit": ["--window", "1982:2012", "fit", "--response", "cpi", "--predictor", "unemployment"],
+    "scan-lag": ["--window", "1982:2012", "scan-lag", "--response", "cpi",
+                 "--predictor", "labor_force_growth", "--estimator", "cumulative"],
+    "scan-break": ["scan-break", "--response", "cpi", "--predictor", "unemployment",
+                   "--estimator", "cumulative", "--years", "1975:1994"],
+    "diagnose": ["diagnose", "--response", "unemployment", "--predictor", "labor_force_growth",
+                 "--estimator", "cumulative", "--break-year", "1977", "--share", "intercept",
+                 "--adf-lags", "1"],
+    "forecast": ["--format", "csv,json,svg", "forecast",
+                 "--scenario", str(DATA_DIR / "scenario_2005.json"),
+                 "--models", "eq7,eq8,eq9,eq10"],
+    "plot": ["plot", "--series", "unemployment,cpi", "--mode", "scatter", "--regression"],
+}
+
+
+class TestGlobalFlags:
+    """A global flag that the subcommand would not read is a usage error."""
+
+    FORECAST = ["forecast", "--scenario", str(DATA_DIR / "scenario_2005.json")]
+    FIT = ["fit", "--response", "cpi", "--predictor", "unemployment"]
+
+    @pytest.mark.parametrize("flags, rest", [
+        (["--format", "xml"], FIT),
+        (["--format", "csv"], ["diagnose", "--response", "cpi", "--predictor", "unemployment"]),
+        (["--format", "svg"], ["plot", "--series", "cpi"]),
+        (["--format", "csv"], ["scan-break", "--response", "cpi", "--predictor", "unemployment",
+                               "--years", "1975:1994"]),
+        (["--format", "csv"], ["scan-lag", "--response", "cpi", "--predictor", "unemployment"]),
+        (["--format", "csv"], ["fetch"]),
+        (["--window", "1982:2012"], FORECAST),
+        (["--window", "1982:2012"], ["fetch"]),
+        (["--cache-dir", "cache"], FORECAST),
+    ])
+    def test_ignored_flag_is_refused(self, tmp_path, capsys, flags, rest):
+        argv = ["--manifest", str(DATA_DIR / "manifest.json"), "--out", str(tmp_path / "o"),
+                *flags, *rest]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {flags[0]} has no effect on {rest[0]};")
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", sorted(JAPAN_CLI))
+    def test_japan_cli_commands_exit_0(self, tmp_path, command):
+        # every command gets --manifest, forecast included, which takes it unread
+        argv = ["--manifest", str(DATA_DIR / "manifest.json"), "--out", str(tmp_path / "o"),
+                *JAPAN_CLI[command]]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(*argv) == 0
+
+
 class TestReadmeExamples:
     @pytest.mark.parametrize("argv", readme_cli_examples())
     def test_cli_example_exits_0(self, monkeypatch, tmp_path, argv):

@@ -225,6 +225,23 @@ class TestAdf:
         assert res.n_obs == len(y)
         np.testing.assert_allclose(res.statistic, beta[1] / se, rtol=1e-10)
 
+    @pytest.mark.parametrize("n", [60, 400, 4000])
+    @pytest.mark.parametrize("walk", [False, True])
+    @pytest.mark.parametrize("lag_order", [0, 1, 2, 3, 4])
+    def test_statistic_is_the_row_major_stack_bit_for_bit(self, n, walk, lag_order):
+        """adf_test writes its regression column-major; the statistic equals,
+        bit for bit, the one from the row-major np.column_stack of the same
+        columns through the same kernel."""
+        noise = np.random.default_rng(1000 * n + 10 * walk + lag_order).normal(0, 1, n)
+        vals = np.cumsum(noise) if walk else noise
+        ds = np.diff(vals)
+        y = ds[lag_order:]
+        cols = [np.ones(len(y)), vals[lag_order:-1]] + [
+            ds[lag_order - j:len(ds) - j] for j in range(1, lag_order + 1)]
+        (beta,), (rss,), (r_inv,), _ = least_squares_stack(np.column_stack(cols + [y])[None])
+        se = math.sqrt(float(rss) / (len(y) - len(cols))) * float(np.linalg.norm(r_inv[1]))
+        assert adf_test(frac(vals), lag_order=lag_order).statistic == float(beta[1]) / se
+
     def test_statistic_matches_statsmodels(self):
         statsmodels = pytest.importorskip("statsmodels.tsa.stattools")
         rng = np.random.Generator(np.random.PCG64(6))

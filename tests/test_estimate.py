@@ -696,6 +696,46 @@ class TestDuplicatePredictors:
         assert fit(spec, ragged_data()).coefficient_table().keys() == {"intercept", "x", "z"}
 
 
+class TestColumnMajorStacks:
+    """Every stack the kernel factors is column-major in each slice, the
+    layout LAPACK's QR reads without a transposing copy."""
+
+    @pytest.mark.parametrize("piecewise", [False, True])
+    @pytest.mark.parametrize("with_response", [False, True])
+    @pytest.mark.parametrize("per_slice", [False, True])
+    def test_design_slices_are_f_contiguous(self, piecewise, with_response, per_slice):
+        spec = single_spec(break_year=1990 if piecewise else None)
+        labels = estimate._param_labels(spec, piecewise)
+        years, x = np.arange(1980, 2000), np.linspace(0.0, 1.0, 20)
+        if per_slice:  # one row of years, columns and response per slice
+            years, x = np.stack([years, years + 1]), np.stack([x, 2 * x])
+        Xy = estimate._design(labels, {"x": x}, years, [1990, None],
+                              x + 1.0 if with_response else None)
+        assert Xy.shape == (2, 20, len(labels) + with_response)
+        assert all(slice_.flags.f_contiguous for slice_ in Xy)
+
+    def test_kernel_reads_only_column_major_stacks(self, monkeypatch):
+        from lfphillips import diagnose
+
+        real = diagnose.least_squares_stack
+        seen = []
+
+        def guarded(Xy):
+            seen.append(all(slice_.flags.f_contiguous for slice_ in Xy))
+            return real(Xy)
+
+        monkeypatch.setattr(estimate, "least_squares_stack", guarded)
+        monkeypatch.setattr(diagnose, "least_squares_stack", guarded)
+        data = ragged_data()
+        for estimator in ("ols", "cumulative"):
+            fit(single_spec(estimator), data)
+            fit(single_spec(estimator, break_year=1995, shared=("intercept",)), data)
+            scan_lag(single_spec(estimator), data, range(-3, 4))
+            scan_break(single_spec(estimator), data, range(1985, 2006))
+        diagnose.adf_test(fit(single_spec(), data).residuals, lag_order=2)
+        assert len(seen) >= 9 and all(seen)
+
+
 class TestNoQFormingSolve:
     def test_designs_are_factorized_r_only(self, monkeypatch):
         """Every QR of an n-row design is R-only; only the k x 1 endpoint

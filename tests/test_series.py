@@ -1,4 +1,8 @@
+import copy
+import dataclasses
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -239,3 +243,59 @@ class TestArray:
             assert got.flags.writeable and got.flags.c_contiguous
             got[0] = 42.0  # a fresh copy: the series is untouched
             assert s.values[lo] == want[0]
+
+
+OBSERVERS = {
+    "len": len,
+    "end_year": lambda s: s.end_year,
+    "years": lambda s: s.years,
+    "eq": lambda s: (s == AnnualSeries(1990, [0.1, -2.0, 3.25, 1e-300, 7.0]), s == s.scale(2.0)),
+    "hash": hash,
+    "repr": repr,
+    "replace": lambda s: replace(s, label="copy"),
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda s: pickle.loads(pickle.dumps(s)),
+}
+
+
+class TestValuesContract:
+    """``array`` is the stored form; ``values`` is built from it on first read."""
+
+    RAW = (0.1, -2, 3.25, 1e-300, 7)
+
+    @pytest.mark.parametrize("make", [tuple, list, np.array], ids=["tuple", "list", "ndarray"])
+    def test_values_are_python_floats_bit_equal_to_array(self, make):
+        s = AnnualSeries(1990, make(self.RAW), label="x")
+        assert type(s.values) is tuple and all(type(v) is float for v in s.values)
+        assert np.array_equal(np.array(s.values), s.array)
+        assert s.array.dtype == np.float64 and not s.array.flags.writeable
+        assert s.values == tuple(float(v) for v in self.RAW)
+
+    @pytest.mark.parametrize("make", [tuple, list, np.array], ids=["tuple", "list", "ndarray"])
+    @pytest.mark.parametrize("observer", sorted(OBSERVERS))
+    def test_first_values_read_changes_nothing_observable(self, make, observer):
+        fresh, read = AnnualSeries(1990, make(self.RAW)), AnnualSeries(1990, make(self.RAW))
+        read.values  # noqa: B018 - the read under test
+        before, after = OBSERVERS[observer](fresh), OBSERVERS[observer](read)
+        assert before == after
+        if isinstance(before, AnnualSeries):
+            assert repr(before) == repr(after)
+            assert not before.array.flags.writeable and not after.array.flags.writeable
+
+    def test_integer_readers_do_not_build_values(self):
+        s = AnnualSeries(1990, np.arange(5.0))
+        assert (len(s), s.end_year, s.years, s.value(1992)) == (5, 1994, range(1990, 1995), 2.0)
+        assert type(s.value(1992)) is float
+        for derived in (s, s.window(1991, 1993), s.relabel("y"), s.scale(2.0)):
+            assert vars(derived)["_values"] is None
+
+    def test_replace_values_validates(self):
+        s = AnnualSeries(1990, (1.0, 2.0))
+        assert replace(s, values=[3, 4]).values == (3.0, 4.0)
+        with pytest.raises(InputError, match="non-finite value at year 1991"):
+            replace(s, values=(1.0, math.nan))
+
+    def test_values_is_read_only(self):
+        s = AnnualSeries(1990, (1.0, 2.0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.values = (3.0,)
