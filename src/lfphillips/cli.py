@@ -14,7 +14,6 @@ values are fractions; percent shows up only in chart labels.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -35,6 +34,7 @@ _FLAG_READERS = {
     "--format": ("forecast",),
     "--window": ("fit", "scan-lag", "scan-break", "diagnose", "plot"),
     "--cache-dir": ("fit", "scan-lag", "scan-break", "diagnose", "plot", "fetch"),
+    "--out": ("fit", "scan-lag", "scan-break", "diagnose", "forecast", "plot"),
 }
 
 
@@ -71,7 +71,7 @@ def _clip(candidates: range, first: int, last: int) -> range:
 
 def _spec_from_args(args) -> estimate.LinkSpec:
     if args.spec:
-        spec = estimate.LinkSpec.from_dict(json.loads(Path(args.spec).read_text(encoding="utf-8")))
+        spec = estimate.LinkSpec.from_dict(ingest.read_json(args.spec, "spec"))
     else:
         if not args.response or not args.predictor:
             raise UsageError("give --spec FILE, or --response with at least one --predictor")
@@ -104,7 +104,7 @@ def _load_data(args) -> dict[str, AnnualSeries]:
 
 
 def _out_dir(args) -> Path:
-    out = Path(args.out)
+    out = Path(args.out or "out")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -126,7 +126,7 @@ def _fit_document(result: estimate.FitResult) -> dict:
 
 
 def _write_json(path: Path, doc) -> None:
-    ingest.write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    ingest.write_atomic(path, ingest.json_text(doc))
 
 
 def cmd_fit(args) -> int:
@@ -150,13 +150,10 @@ def cmd_scan_lag(args) -> int:
     lags = _clip(lags, y.start_year - x.end_year, y.end_year - x.start_year) if y and x else ()
     results, best = estimate.scan_lag(spec, data, lag_range=lags)
     out = _out_dir(args)
-    lines = ["lag,r2_annual,r2_cumulative,sse,best"]
-    for lag, res in results:
-        lines.append(
-            f"{lag},{res.r2_annual!r},{res.r2_cumulative!r},{res.objective_sse!r},"
-            f"{'*' if lag == best else ''}"
-        )
-    ingest.write_atomic(out / "scan_lag.csv", "\n".join(lines) + "\n")
+    rows = ((lag, res.r2_annual, res.r2_cumulative, res.objective_sse, "*" if lag == best else "")
+            for lag, res in results)
+    ingest.write_atomic(out / "scan_lag.csv", ingest.csv_text(
+        ("lag", "r2_annual", "r2_cumulative", "sse", "best"), rows))
     print(f"best lag: {best}")
     return 0
 
@@ -170,10 +167,8 @@ def cmd_scan_break(args) -> int:
     years = _clip(years, y.start_year, y.end_year) if y else ()
     profile, best = estimate.scan_break(spec, data, candidate_years=years)
     out = _out_dir(args)
-    lines = ["year,sse,best"]
-    for year, sse in profile:
-        lines.append(f"{year},{sse!r},{'*' if year == best else ''}")
-    ingest.write_atomic(out / "scan_break.csv", "\n".join(lines) + "\n")
+    rows = ((year, sse, "*" if year == best else "") for year, sse in profile)
+    ingest.write_atomic(out / "scan_break.csv", ingest.csv_text(("year", "sse", "best"), rows))
     print(f"best break year: {best}")
     return 0
 
@@ -297,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Labor-force-driven Phillips curve estimation and forecasting",
     )
     parser.add_argument("--manifest", help="dataset manifest JSON")
-    parser.add_argument("--out", default="out", help="output directory (default: out)")
+    parser.add_argument("--out", help="output directory (default: out)")
     parser.add_argument("--format", help="comma-separated forecast formats: csv,json,svg")
     parser.add_argument("--window", help="restrict to years Y1:Y2")
     parser.add_argument("--cache-dir", help="override the remote-fetch cache directory")
@@ -369,7 +364,7 @@ def main(argv=None) -> int:
     except LfphillipsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

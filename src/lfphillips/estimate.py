@@ -25,13 +25,14 @@ the cumulative estimator forms its reduced stack as (M' C')', so LAPACK's QR
 reads each slice without a transposing copy.
 
 Only ``_param_labels`` spells the coefficient labels, and only
-``LinkSpec.to_dict``/``from_dict`` know the spec JSON.
+``LinkSpec.to_dict``/``from_dict`` know the spec JSON's fields; the checks of
+its syntax and of each field's type are ``ingest``'s, shared with every other
+file the package reads.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
@@ -45,27 +46,12 @@ from .diagnose import (
     t_pvalue,
 )
 from .errors import EstimationError, InputError
+from .ingest import json_int, json_object, json_str
 from .series import AnnualSeries, align
 
 INTERCEPT = "intercept"
 # design entries per stacked solve in a scan: bounds its working memory
 _STACK_ENTRIES = 1 << 15
-
-
-def _check_name(field_name: str, value) -> None:
-    if not isinstance(value, str):
-        raise InputError(f"{field_name} must be a string, got {value!r}")
-
-
-def _integral(field_name: str, value) -> int:
-    """``value`` as an int; an integral float (JSON may spell 1982 as 1982.0) converts."""
-    if type(value) is int:  # the common case, ahead of the slower numbers.Integral check
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    raise InputError(f"{field_name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -74,8 +60,8 @@ class Predictor:
     lag: int = 0
 
     def __post_init__(self) -> None:
-        _check_name("predictor name", self.name)
-        object.__setattr__(self, "lag", _integral("lag", self.lag))
+        json_str("predictor name", self.name)
+        object.__setattr__(self, "lag", json_int("lag", self.lag))
 
 
 @dataclass(frozen=True)
@@ -96,7 +82,7 @@ class LinkSpec:
     window: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        _check_name("response", self.response)
+        json_str("response", self.response)
         if not self.predictors:
             raise InputError("LinkSpec needs at least one predictor")
         if self.estimator not in ("ols", "cumulative"):
@@ -113,18 +99,18 @@ class LinkSpec:
                                  "one series at two lags is not supported")
         names = {INTERCEPT, *pred_names}
         for s in self.shared:
-            _check_name("shared coefficient", s)
+            json_str("shared coefficient", s)
             if s not in names:
                 raise InputError(f"shared coefficient {s!r} names no predictor")
             if self.shared.count(s) > 1:
                 raise InputError(f"shared coefficient {s!r} is named more than once")
         if self.break_year is not None:
-            object.__setattr__(self, "break_year", _integral("break_year", self.break_year))
+            object.__setattr__(self, "break_year", json_int("break_year", self.break_year))
         if self.window is not None:
             if not isinstance(self.window, (tuple, list)) or len(self.window) != 2:
                 raise InputError(f"window must be two years, got {self.window!r}")
-            window = (_integral("window year", self.window[0]),
-                      _integral("window year", self.window[1]))
+            window = (json_int("window year", self.window[0]),
+                      json_int("window year", self.window[1]))
             if window[0] > window[1]:
                 raise InputError(f"empty window {window}")
             object.__setattr__(self, "window", window)
@@ -162,16 +148,8 @@ class LinkSpec:
 def _json_fields(what: str, cls, doc) -> dict:
     """``doc`` as keyword arguments of ``cls``: a JSON object that holds every
     field of ``cls`` without a default, and no key that is not a field."""
-    if not isinstance(doc, dict):
-        raise InputError(f"{what} must be a JSON object, got {doc!r}")
-    names = [f.name for f in fields(cls)]
-    for key in doc:
-        if key not in names:
-            raise InputError(f"{what} has unknown key {key!r}; expected one of {names}")
-    for f in fields(cls):
-        if f.default is MISSING and f.name not in doc:
-            raise InputError(f"{what} is missing {f.name!r}")
-    return doc
+    return json_object(what, doc, [f.name for f in fields(cls)],
+                       [f.name for f in fields(cls) if f.default is MISSING])
 
 
 @dataclass(frozen=True)
@@ -475,7 +453,7 @@ def scan_lag(
         raise InputError(f"lag-scan predictor {name!r} is not in the spec {names}")
     criterion = "r2_cumulative" if spec.estimator == "cumulative" else "r2_annual"
     _check_shared(spec)
-    lags = [_integral("lag", lag) for lag in lag_range]
+    lags = [json_int("lag", lag) for lag in lag_range]
     labels = _param_labels(spec, spec.break_year is not None)
     groups: dict[int, list] = {}
     for lag in dict.fromkeys(lags):

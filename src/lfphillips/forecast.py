@@ -5,19 +5,18 @@ from anything refitted on data, so "reproduce the published numbers" and
 "refit on current data" stay distinguishable. The causal chain runs one way:
 labor force drives inflation and unemployment, with no feedback.
 ``forecast_report`` is the one way a registry model is evaluated, and
-``load_scenario`` refuses a scenario key it does not know.
+``load_scenario`` refuses a scenario key it does not know. The scenario JSON
+is read and checked, and every report is written, through ``ingest``.
 """
 
 from __future__ import annotations
 
-import json
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from . import ingest
 from .errors import InputError
-from .estimate import _integral
 from .series import AnnualSeries, log_growth
 
 
@@ -174,12 +173,9 @@ def report_to_csv(report: ForecastResult) -> str:
     """One row per horizon year; columns are the model paths, fractions."""
     paths = report.all_paths()
     names = sorted(paths)
-    lines = ["year," + ",".join(names)]
     first, last = report.scenario.horizon
-    for year in range(first, last + 1):
-        row = [str(year)] + [repr(paths[n].value(year)) for n in names]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    rows = ((year, *(paths[n].value(year) for n in names)) for year in range(first, last + 1))
+    return ingest.csv_text(("year", *names), rows)
 
 
 def report_to_json(report: ForecastResult) -> str:
@@ -195,20 +191,17 @@ def report_to_json(report: ForecastResult) -> str:
             for name, s in sorted(paths.items())
         },
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return ingest.json_text(doc)
 
 
 def scenario_to_csv(scenario: Scenario) -> str:
-    lines = ["year,labor_force,growth"]
-    for year in scenario.labor_force.years:
-        g = ""
-        if scenario.growth.start_year <= year <= scenario.growth.end_year:
-            g = repr(scenario.growth.value(year))
-        lines.append(f"{year},{scenario.labor_force.value(year)!r},{g}")
-    return "\n".join(lines) + "\n"
+    lf, g = scenario.labor_force, scenario.growth
+    rows = ((year, lf.value(year), g.value(year) if g.start_year <= year <= g.end_year else "")
+            for year in lf.years)
+    return ingest.csv_text(("year", "labor_force", "growth"), rows)
 
 
-# each scenario source and the optional keys it reads; a linear path is in persons
+# each scenario source and the other keys it reads; a linear path is in persons
 _SOURCE_KEYS = {
     "labor_force_csv": ("units",),
     "population_csv": ("units", "participation"),
@@ -224,49 +217,40 @@ def load_scenario(path) -> Scenario:
     {"horizon": ..., "linear": {"start_year": y, "end_year": y, "start": v, "end": v}}.
     Exactly one source is named; years are integers (an integral float such
     as 2011.0 converts). A key outside the schema, or one that the named
-    source would ignore, raises InputError naming it.
+    source would ignore, raises InputError naming it. ``ingest`` reads the
+    file and checks each field's type.
     """
-    from .ingest import participation_labor_force, read_csv_series
-
     p = Path(path)
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read scenario {p}: {exc}") from exc
+    doc = ingest.read_json(p, "scenario")
     if not isinstance(doc, dict):
         raise InputError(f"scenario {p}: expected an object with a 'horizon' key")
-    _known_keys(doc, ("horizon",) + tuple(_SOURCE_KEYS) + ("units", "participation"))
-    horizon = doc.get("horizon")
-    if not (isinstance(horizon, list) and len(horizon) == 2):
-        raise InputError("scenario needs a two-element 'horizon'")
-    try:
-        horizon = (_integral("horizon", horizon[0]), _integral("horizon", horizon[1]))
-    except InputError as exc:
-        raise InputError(f"scenario 'horizon' must be two years, got {horizon!r}") from exc
     sources = [key for key in _SOURCE_KEYS if key in doc]
     if len(sources) != 1:
         raise InputError("scenario needs exactly one of 'labor_force_csv', 'population_csv' "
                          f"or 'linear', got {sources}")
     source = sources[0]
-    for key in doc:
-        if key not in _SOURCE_KEYS[source] + ("horizon", source):
-            raise InputError(f"scenario key '{key}' does not apply to a '{source}' source")
+    ingest.json_object(f"scenario of a {source!r} source", doc,
+                       ("horizon", source) + _SOURCE_KEYS[source],
+                       ("participation",) if source == "population_csv" else ())
+    horizon = doc.get("horizon")
+    if not (isinstance(horizon, list) and len(horizon) == 2):
+        raise InputError(f"scenario 'horizon' must be two years, got {horizon!r}")
+    horizon = tuple(ingest.json_int("scenario 'horizon' year", year) for year in horizon)
     units = doc.get("units", "persons")
     if source == "labor_force_csv":
-        lf = read_csv_series(_resolve(p, doc, source), "labor-force", units,
-                             label="labor force")
+        lf = ingest.read_csv_series(_resolve(p, doc, source), "labor-force", units,
+                                    label="labor force")
         return build_scenario(labor_force=lf, horizon=horizon)
     if source == "population_csv":
-        pop = read_csv_series(_resolve(p, doc, source), "population", units,
-                              label="population")
-        lf = participation_labor_force(pop, _number(doc, "participation", float))
+        pop = ingest.read_csv_series(_resolve(p, doc, source), "population", units,
+                                     label="population")
+        rate = ingest.json_float("scenario 'participation'", doc["participation"])
+        lf = ingest.participation_labor_force(pop, rate)
         return build_scenario(labor_force=lf, horizon=horizon)
-    lin = doc["linear"]
-    if not isinstance(lin, dict):
-        raise InputError(f"scenario 'linear' must be an object, got {lin!r}")
-    _known_keys(lin, ("start_year", "end_year", "start", "end"), "linear.")
-    y0, y1 = (_number(lin, key, int, "linear.") for key in ("start_year", "end_year"))
-    v0, v1 = (_number(lin, key, float, "linear.") for key in ("start", "end"))
+    keys = ("start_year", "end_year", "start", "end")
+    lin = ingest.json_object("scenario", doc["linear"], keys, keys, "linear.")
+    y0, y1 = (ingest.json_int(f"scenario 'linear.{k}'", lin[k]) for k in keys[:2])
+    v0, v1 = (ingest.json_float(f"scenario 'linear.{k}'", lin[k]) for k in keys[2:])
     if y1 <= y0:
         raise InputError("linear path needs end_year > start_year")
     n = y1 - y0
@@ -275,31 +259,7 @@ def load_scenario(path) -> Scenario:
     return build_scenario(labor_force=lf, horizon=horizon)
 
 
-def _known_keys(doc: dict, names: tuple[str, ...], prefix: str = "") -> None:
-    """InputError naming the first key of ``doc`` that is not one of ``names``."""
-    for key in doc:
-        if key not in names:
-            raise InputError(f"scenario has unknown key '{prefix}{key}'; "
-                             f"expected one of {list(names)}")
-
-
-def _number(doc: dict, key: str, kind, prefix: str = ""):
-    """``doc[key]`` as ``kind``, or InputError naming the scenario field. As in
-    ``estimate._integral``, a bool or a string is no number, and an int field
-    takes only an integral value."""
-    if key not in doc:
-        raise InputError(f"scenario needs '{prefix}{key}'")
-    name, value = f"scenario '{prefix}{key}'", doc[key]
-    if kind is int:
-        return _integral(name, value)
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    raise InputError(f"{name} must be a number, got {value!r}")
-
-
 def _resolve(scenario_path: Path, doc: dict, key: str) -> Path:
     """The file that ``doc[key]`` names, relative to the scenario's directory."""
-    if not isinstance(doc[key], str):
-        raise InputError(f"scenario '{key}' must be a file path, got {doc[key]!r}")
-    q = Path(doc[key])
+    q = Path(ingest.json_str(f"scenario '{key}'", doc[key]))
     return q if q.is_absolute() else scenario_path.parent / q

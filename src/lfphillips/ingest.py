@@ -1,16 +1,22 @@
-"""Loading series from CSV files, JSON manifests, and cached HTTP endpoints.
+"""Every file format the package reads or writes.
 
-On-disk format is a two-column CSV with header ``year,value`` and strictly
+Series CSV is a two-column file with header ``year,value`` and strictly
 consecutive years. A manifest is a JSON file mapping series names to a local
 path or remote descriptor plus a kind and units declaration; units are never
 sniffed from the data. Remote fetches are cache-first: the raw payload is
 written verbatim to the cache directory on first fetch and all later loads
 are offline.
+
+Other modules read and write files only through this one: ``read_json``,
+``json_object`` and the ``json_int``/``json_float``/``json_str`` field checks
+read every spec, scenario and manifest. Every CSV or JSON artifact is
+``csv_text`` or ``json_text``, and every file is written by ``write_atomic``.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,6 +46,58 @@ _UNIT_SCALE = {
     "persons": 1.0,
     "thousands": 1000.0,
 }
+
+
+def read_json(path, what: str):
+    """The JSON document in the file at ``path``; an unreadable file or
+    malformed JSON raises InputError naming the ``what`` it was to hold."""
+    p = Path(path)
+    try:
+        return json.loads(p.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read {what} {p}: {exc}") from exc
+
+
+def json_object(what: str, doc, names, required=(), prefix: str = "") -> dict:
+    """``doc`` as a JSON object of ``what`` that holds every key of ``required``
+    and no key outside ``names``; otherwise InputError naming the culprit.
+    ``prefix`` is the object's key path inside ``what``, such as ``"linear."``."""
+    if not isinstance(doc, dict):
+        where = f"{what} {prefix[:-1]!r}" if prefix else what
+        raise InputError(f"{where} must be a JSON object, got {doc!r}")
+    for key in doc:
+        if key not in names:
+            raise InputError(f"{what} has unknown key {f'{prefix}{key}'!r}; "
+                             f"expected one of {list(names)}")
+    for key in required:
+        if key not in doc:
+            raise InputError(f"{what} is missing {f'{prefix}{key}'!r}")
+    return doc
+
+
+def json_int(what: str, value) -> int:
+    """``value`` as an int; an integral float (JSON may spell 1982 as 1982.0)
+    converts, and a bool is no integer."""
+    if type(value) is int:  # the common case, ahead of the slower numbers.Integral check
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise InputError(f"{what} must be an integer, got {value!r}")
+
+
+def json_float(what: str, value) -> float:
+    """``value`` as a float; a bool or a string is no number."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise InputError(f"{what} must be a number, got {value!r}")
+
+
+def json_str(what: str, value) -> str:
+    if not isinstance(value, str):
+        raise InputError(f"{what} must be a string, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -202,42 +260,43 @@ def write_atomic(path, text: str) -> None:
         raise
 
 
+_ENTRY_KEYS = ("path", "remote", "kind", "units")
+_REMOTE_KEYS = ("base_url", "dataset", "key", "cache")
+
+
 def load_manifest(path) -> DatasetManifest:
-    """Parse a manifest JSON file; relative series paths resolve against it."""
+    """Parse a manifest JSON file; relative series paths resolve against it.
+
+    An unknown key, a field of the wrong type, an entry without exactly one
+    of ``path`` or ``remote``, or a series that a derived ``<name>_growth``
+    would shadow raises InputError naming the series and the field.
+    """
     p = Path(path)
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read manifest {p}: {exc}") from exc
-    series = doc.get("series") if isinstance(doc, dict) else None
-    if not isinstance(series, dict) or not series:
+    doc = json_object(f"manifest {p}", read_json(p, "manifest"), ("series",))
+    if not isinstance(doc.get("series"), dict) or not doc["series"]:
         raise InputError(f"manifest {p} has no 'series' table")
     entries: dict[str, ManifestEntry] = {}
-    for name, raw in series.items():
-        if not isinstance(raw, dict):
-            raise InputError(f"series {name!r}: entry must be an object, got {raw!r}")
-        kind = raw.get("kind")
-        units = raw.get("units")
+    for name, raw in doc["series"].items():
+        what = f"series {name!r}"
+        raw = json_object(what, raw, _ENTRY_KEYS, ("kind", "units"))
+        kind, units = raw["kind"], raw["units"]
         if kind not in KINDS:
-            raise InputError(f"series {name!r}: unknown kind {kind!r}")
+            raise InputError(f"{what}: unknown kind {kind!r}")
         if units not in SOURCE_UNITS:
-            raise InputError(f"series {name!r}: unknown units {units!r}")
+            raise InputError(f"{what}: unknown units {units!r}")
+        if kind == "labor-force" and f"{name}_growth" in doc["series"]:
+            raise InputError(f"series {name + '_growth'!r} would be shadowed by the growth "
+                             f"series derived from labor-force series {name!r}; rename it")
+        if ("path" in raw) == ("remote" in raw):
+            raise InputError(f"{what}: needs exactly one of 'path' or 'remote'")
         if "path" in raw:
-            entries[name] = ManifestEntry(name=name, kind=kind, units=units, path=raw["path"])
-        elif "remote" in raw:
-            r = raw["remote"]
-            try:
-                desc = RemoteDescriptor(
-                    base_url=r["base_url"],
-                    dataset=r["dataset"],
-                    key=r["key"],
-                    cache_path=r.get("cache"),
-                )
-            except (KeyError, TypeError) as exc:
-                raise InputError(f"series {name!r}: bad remote descriptor") from exc
-            entries[name] = ManifestEntry(name=name, kind=kind, units=units, remote=desc)
-        else:
-            raise InputError(f"series {name!r}: needs 'path' or 'remote'")
+            entries[name] = ManifestEntry(name, kind, units,
+                                          path=json_str(f"{what} 'path'", raw["path"]))
+            continue
+        remote = json_object(what, raw["remote"], _REMOTE_KEYS, _REMOTE_KEYS[:3], "remote.")
+        r = {key: json_str(f"{what} 'remote.{key}'", v) for key, v in remote.items()}
+        desc = RemoteDescriptor(r["base_url"], r["dataset"], r["key"], cache_path=r.get("cache"))
+        entries[name] = ManifestEntry(name, kind, units, remote=desc)
     return DatasetManifest(entries=entries, base_dir=p.parent)
 
 
@@ -285,7 +344,18 @@ def participation_labor_force(population: AnnualSeries, rate: float) -> AnnualSe
 
 def write_csv_series(s: AnnualSeries, path) -> None:
     """Write back in the on-disk CSV format (repr round-trips floats exactly)."""
-    lines = ["year,value"]
-    for year, value in zip(s.years, s.values):
-        lines.append(f"{year},{value!r}")
-    write_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, csv_text(("year", "value"), zip(s.years, s.values)))
+
+
+def csv_text(header, rows) -> str:
+    """CSV text of a header row and then ``rows``: a ``str`` cell is written
+    as given, a number by ``repr``, which round-trips a float exactly."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(c if isinstance(c, str) else repr(c) for c in row))
+    return "\n".join(lines) + "\n"
+
+
+def json_text(doc) -> str:
+    """``doc`` as JSON text: sorted keys, a two-space indent, a final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

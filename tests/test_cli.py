@@ -209,6 +209,41 @@ class TestScanRangeClip:
         assert "Traceback" not in err
 
 
+class TestScanCsv:
+    """The scan CSVs keep the layout that the scan writers spelled out by hand."""
+
+    @pytest.mark.parametrize("command, argv", [
+        ("scan-lag", ["--predictor", "labor_force_growth", "--estimator", "cumulative",
+                      "--lags=-6:6"]),
+        ("scan-lag", ["--predictor", "unemployment", "--lags=-3:3"]),
+        ("scan-break", ["--predictor", "unemployment", "--years", "1975:1994"]),
+        ("scan-break", ["--predictor", "unemployment", "--estimator", "cumulative",
+                        "--years", "1970:2000"]),
+    ])
+    def test_bytes_match_the_row_formula(self, monkeypatch, tmp_path, command, argv):
+        name = command.replace("-", "_")
+        real, seen = getattr(estimate, name), []
+
+        def spy(*args, **kwargs):
+            seen.append(real(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(estimate, name, spy)
+        out = tmp_path / "o"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run("--manifest", str(DATA_DIR / "manifest.json"), "--out", str(out),
+                       command, "--response", "cpi", *argv) == 0
+        (results, best), = seen
+        if command == "scan-lag":
+            lines = ["lag,r2_annual,r2_cumulative,sse,best"] + [
+                f"{lag},{res.r2_annual!r},{res.r2_cumulative!r},{res.objective_sse!r},"
+                f"{'*' if lag == best else ''}" for lag, res in results]
+        else:
+            lines = ["year,sse,best"] + [
+                f"{year},{sse!r},{'*' if year == best else ''}" for year, sse in results]
+        assert (out / f"{name}.csv").read_text() == "\n".join(lines) + "\n"
+
+
 class TestDiagnose:
     def test_writes_adf_block(self, break_fixture, tmp_path):
         out = tmp_path / "o"
@@ -326,6 +361,61 @@ class TestMalformedJson:
         assert "Traceback" not in err
 
 
+U_ENTRY = {"path": "u.csv", "kind": "unemployment", "units": "fraction"}
+U_REMOTE = {"base_url": "http://127.0.0.1:1", "dataset": "lfs", "key": "u"}
+
+
+class TestMalformedManifest:
+    """A manifest field of the wrong type or an unknown key ends in exit 1
+    naming the series and the field, before any series is read."""
+
+    @pytest.mark.parametrize("doc, culprits", [
+        ({"series": {"u": {**U_ENTRY, "path": 5}}}, ["'u'", "'path'"]),
+        ({"series": {"u": {**U_ENTRY, "path": None}}}, ["'u'", "'path'"]),
+        ({"series": {"u": {"remote": {**U_REMOTE, "base_url": 5}, "kind": "unemployment",
+                           "units": "fraction"}}}, ["'u'", "'remote.base_url'"]),
+        ({"series": {"u": {"remote": {**U_REMOTE, "cache": 7}, "kind": "unemployment",
+                           "units": "fraction"}}}, ["'u'", "'remote.cache'"]),
+        ({"series": {"u": {"remote": {**U_REMOTE, "ttl": 7}, "kind": "unemployment",
+                           "units": "fraction"}}}, ["'u'", "'remote.ttl'"]),
+        ({"series": {"u": {"remote": [1], "kind": "unemployment", "units": "fraction"}}},
+         ["'u'", "'remote'"]),
+        ({"series": {"u": {"remote": {"base_url": "http://127.0.0.1:1", "key": "u"},
+                           "kind": "unemployment", "units": "fraction"}}},
+         ["'u'", "'remote.dataset'"]),
+        ({"series": {"u": {**U_ENTRY, "unit": "percent"}}}, ["'u'", "'unit'"]),
+        ({"series": {"u": {"path": "u.csv", "units": "fraction"}}}, ["'u'", "'kind'"]),
+        ({"series": {"u": U_ENTRY}, "notes": "x"}, ["'notes'"]),
+        ({"series": {"u": {**U_ENTRY, "remote": U_REMOTE}}}, ["'u'", "'path'", "'remote'"]),
+        ({"series": {"u": {"kind": "unemployment", "units": "fraction"}}},
+         ["'u'", "'path'", "'remote'"]),
+        # the growth series derived from a labor-force entry would replace the user's own
+        ({"series": {"u": U_ENTRY,
+                     "lf": {"path": "lf.csv", "kind": "labor-force", "units": "persons"},
+                     "lf_growth": U_ENTRY}}, ["'lf'", "'lf_growth'"]),
+    ])
+    def test_refused_manifest(self, tmp_path, capsys, doc, culprits):
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps(doc))
+        assert run("--manifest", str(mpath), "--out", str(tmp_path / "o"),
+                   "fit", "--response", "u", "--predictor", "u") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        for culprit in culprits:
+            assert culprit in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_labor_force_growth_is_derived(self, tmp_path):
+        # the collision check refuses only a clash: a labor-force entry alone loads
+        (tmp_path / "lf.csv").write_text("year,value\n2000,100\n2001,110\n")
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps({"series": {
+            "lf": {"path": "lf.csv", "kind": "labor-force", "units": "persons"}}}))
+        data = ingest.load_all(ingest.load_manifest(mpath))
+        assert sorted(data) == ["lf", "lf_growth"]
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: (st.lists(inner, max_size=3)
@@ -379,6 +469,54 @@ class TestSpecFuzz:
         if code == 0:
             echo = json.loads((tmp_path / "o" / "fit.json").read_text())["spec"]
             assert LinkSpec.from_dict(echo).to_dict() == echo
+
+
+ENTRY_FIELDS = ["path", "remote", "kind", "units",
+                "remote.base_url", "remote.dataset", "remote.key", "remote.cache"]
+
+
+@st.composite
+def manifest_entries(draw):
+    """Any JSON value, or a well-typed entry with up to two fields (those of
+    its remote descriptor among them) set to any JSON value."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(JSON_VALUES)
+    remote = st.fixed_dictionaries(
+        {"base_url": st.just("http://127.0.0.1:1"), "dataset": st.text(max_size=4),
+         "key": st.text(max_size=4)}, optional={"cache": st.text(max_size=4)})
+    entry = draw(st.fixed_dictionaries(
+        {"kind": st.sampled_from(ingest.KINDS), "units": st.sampled_from(ingest.SOURCE_UNITS)},
+        optional={"path": st.text(max_size=4), "remote": remote}))
+    for key in draw(st.lists(st.sampled_from(ENTRY_FIELDS), max_size=2, unique=True)):
+        owner, _, field = key.rpartition(".")
+        target = entry.get("remote") if owner else entry
+        if isinstance(target, dict):
+            target[field] = draw(JSON_VALUES)
+    return entry
+
+
+class TestManifestFuzz:
+    # the examples share tmp_path; each one rewrites the manifest and the artifacts
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(entry=manifest_entries())
+    def test_any_entry_ends_in_exit_0_or_1(self, monkeypatch, tmp_path, entry):
+        # a remote entry loads this payload instead of touching the network
+        monkeypatch.setattr(ingest, "fetch_payload",
+                            lambda *args, **kwargs: "year,value\n2000,1.0\n2001,2.0\n")
+        japan = {name: {"path": str(DATA_DIR / f"{name}.csv"), "kind": kind, "units": "percent"}
+                 for name, kind in [("cpi_inflation", "cpi-inflation"),
+                                    ("unemployment", "unemployment")]}
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps({"series": {"x": entry, **japan}}), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run("--manifest", str(mpath), "--out", str(tmp_path / "o"),
+                       "fit", "--response", "cpi_inflation", "--predictor", "unemployment")
+        assert code in (0, 1)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert err.getvalue().startswith("error: ")
 
 
 class TestImports:
@@ -607,6 +745,14 @@ class TestGlobalFlags:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    def test_out_with_fetch_is_refused(self, tmp_path, capsys):
+        # fetch writes only to the cache; an --out directory would stay empty
+        assert run("--manifest", str(DATA_DIR / "manifest.json"), "--out", str(tmp_path / "o"),
+                   "fetch") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --out has no effect on fetch;")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", sorted(JAPAN_CLI))
     def test_japan_cli_commands_exit_0(self, tmp_path, command):
         # every command gets --manifest, forecast included, which takes it unread
@@ -638,8 +784,7 @@ class TestFetchCommand:
             "kind": "unemployment", "units": "percent"}}}
         mpath = tmp_path / "manifest.json"
         mpath.write_text(json.dumps(manifest))
-        assert run("--manifest", str(mpath), "--cache-dir", str(cache),
-                   "--out", str(tmp_path / "o"), "fetch") == 0
+        assert run("--manifest", str(mpath), "--cache-dir", str(cache), "fetch") == 0
         # loaded through the cache without network
         out = tmp_path / "o"
         assert run("--manifest", str(mpath), "--cache-dir", str(cache),
@@ -653,7 +798,7 @@ class TestFetchCommand:
         mpath = tmp_path / "manifest.json"
         mpath.write_text(json.dumps(manifest))
         assert run("--manifest", str(mpath), "--cache-dir", str(tmp_path / "c"),
-                   "--out", str(tmp_path / "o"), "fetch", "--timeout", "0.2") == 1
+                   "fetch", "--timeout", "0.2") == 1
 
 
 class TestDeterminism:

@@ -1,10 +1,13 @@
+import ast
 import http.server
 import io
 import json
 import threading
 import urllib.request
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lfphillips import ingest
 from lfphillips.errors import InputError, ParseError, RetrievalError
@@ -63,6 +66,51 @@ class TestReadCsvSeries:
         assert again.values == s.values
         ingest.write_csv_series(again, tmp_path / "u2.csv")
         assert (tmp_path / "u2.csv").read_bytes() == path.read_bytes()
+
+
+class TestWriteCsvSeries:
+    # the examples share tmp_path; each one rewrites the file
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(start=st.integers(-3000, 3000),
+           values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=1, max_size=20))
+    def test_finite_floats_round_trip_bit_equal(self, tmp_path, start, values):
+        path = tmp_path / "s.csv"
+        ingest.write_csv_series(AnnualSeries(start, values, units="fraction"), path)
+        again = ingest.read_csv_series(path, "unemployment", "fraction")
+        assert again.start_year == start
+        # hex compares bits: it tells -0.0 from 0.0
+        assert [v.hex() for v in again.values] == [float(v).hex() for v in values]
+
+
+SRC = Path(ingest.__file__).resolve().parent
+
+
+class TestFileFormatOwner:
+    """``ingest`` owns every file format: the other modules parse and write
+    JSON only through it, and no module reaches into a sibling's private names."""
+
+    def test_only_ingest_imports_json(self):
+        # so only ingest can call json.loads or json.dumps
+        users = set()
+        for path in sorted(SRC.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import) and any(a.name == "json" for a in node.names):
+                    users.add(path.name)
+                if isinstance(node, ast.ImportFrom) and node.module == "json":
+                    users.add(path.name)
+        assert users == {"ingest.py"}
+
+    def test_no_private_import_between_modules(self):
+        private = []
+        for path in sorted(SRC.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom) and (
+                        node.level or (node.module or "").startswith("lfphillips")):
+                    private += [f"{path.name}: {a.name}" for a in node.names
+                                if a.name.startswith("_")]
+        assert private == []
 
 
 class TestManifest:
