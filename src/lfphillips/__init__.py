@@ -32,7 +32,6 @@ from .forecast import (
     forecast_report,
 )
 from .ingest import (
-    DatasetManifest,
     RemoteDescriptor,
     fetch_remote,
     load_manifest,

@@ -3,7 +3,8 @@
 Subcommands: fit, scan-lag, scan-break, diagnose, forecast, plot, fetch.
 Artifacts go to the --out directory (created if absent); inputs are never
 mutated. Exit codes: 0 success, 1 data/model error, 2 usage error. A global
-flag that the subcommand does not read is a usage error, not ignored.
+flag that the subcommand does not read is a usage error, not ignored. A data
+command checks the whole --manifest but reads only the series that it names.
 
 Model specs can be given as a JSON file (--spec, the canonical form, read
 by ``LinkSpec.from_dict`` and echoed into outputs by ``LinkSpec.to_dict``) or
@@ -69,7 +70,16 @@ def _clip(candidates: range, first: int, last: int) -> range:
     return range(max(candidates.start, first), min(candidates.stop, last + 1))
 
 
-def _spec_from_args(args) -> estimate.LinkSpec:
+def _manifest(args) -> tuple[dict[str, ingest.ManifestEntry], Path | None]:
+    if not args.manifest:
+        raise UsageError("--manifest is required for this command")
+    return ingest.load_manifest(args.manifest), Path(args.cache_dir) if args.cache_dir else None
+
+
+def _spec_and_data(args) -> tuple[estimate.LinkSpec, dict[str, AnnualSeries]]:
+    """The spec of --spec or the inline flags, and the series that it names;
+    the whole manifest is checked first."""
+    manifest, cache = _manifest(args)
     if args.spec:
         spec = estimate.LinkSpec.from_dict(ingest.read_json(args.spec, "spec"))
     else:
@@ -92,15 +102,8 @@ def _spec_from_args(args) -> estimate.LinkSpec:
         )
     if args.window:
         spec = replace(spec, window=_parse_window(args.window))
-    return spec
-
-
-def _load_data(args) -> dict[str, AnnualSeries]:
-    if not args.manifest:
-        raise UsageError("--manifest is required for this command")
-    manifest = ingest.load_manifest(args.manifest)
-    cache = Path(args.cache_dir) if args.cache_dir else None
-    return ingest.load_all(manifest, cache=cache)
+    names = [spec.response, *(p.name for p in spec.predictors)]
+    return spec, ingest.load_all(ingest.entries_for(manifest, names), cache=cache)
 
 
 def _out_dir(args) -> Path:
@@ -130,8 +133,7 @@ def _write_json(path: Path, doc) -> None:
 
 
 def cmd_fit(args) -> int:
-    data = _load_data(args)
-    spec = _spec_from_args(args)
+    spec, data = _spec_and_data(args)
     result = estimate.fit(spec, data)
     out = _out_dir(args)
     _write_json(out / "fit.json", _fit_document(result))
@@ -141,8 +143,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_scan_lag(args) -> int:
-    data = _load_data(args)
-    spec = _spec_from_args(args)
+    spec, data = _spec_and_data(args)
     lags, y = _parse_range(args.lags), data.get(spec.response)
     x = data.get(spec.predictors[0].name)
     # any other lag leaves the response and the scanned predictor no common year;
@@ -159,8 +160,7 @@ def cmd_scan_lag(args) -> int:
 
 
 def cmd_scan_break(args) -> int:
-    data = _load_data(args)
-    spec = _spec_from_args(args)
+    spec, data = _spec_and_data(args)
     years, y = _parse_range(args.years), data.get(spec.response)
     # a break must fall inside the response's years; without a response the
     # scan fails before it reads a candidate
@@ -174,8 +174,7 @@ def cmd_scan_break(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    data = _load_data(args)
-    spec = _spec_from_args(args)
+    spec, data = _spec_and_data(args)
     result = estimate.fit(spec, data)
     adf = diag.adf_test(result.residuals, lag_order=args.adf_lags)
     out = _out_dir(args)
@@ -234,7 +233,8 @@ def cmd_plot(args) -> int:
         raise InputError("scatter mode needs exactly two series (x then y)")
     if args.regression and args.mode != "scatter":
         raise UsageError("--regression needs --mode scatter")
-    data = _load_data(args)
+    manifest, cache = _manifest(args)
+    data = ingest.load_all(ingest.entries_for(manifest, names), cache=cache)
     missing = [n for n in names if n not in data]
     if missing:
         raise InputError(f"series not in manifest: {missing}")
@@ -267,14 +267,11 @@ def cmd_plot(args) -> int:
 
 
 def cmd_fetch(args) -> int:
-    if not args.manifest:
-        raise UsageError("--manifest is required for this command")
-    manifest = ingest.load_manifest(args.manifest)
-    cache = Path(args.cache_dir) if args.cache_dir else None
-    names = [n.strip() for n in args.series.split(",")] if args.series else manifest.names()
+    manifest, cache = _manifest(args)
+    names = [n.strip() for n in args.series.split(",")] if args.series else sorted(manifest)
     fetched = 0
     for name in names:
-        entry = manifest.entries.get(name)
+        entry = manifest.get(name)
         if entry is None:
             raise InputError(f"series {name!r} not in manifest")
         if entry.remote is None:

@@ -71,7 +71,7 @@ class LinkSpec:
     ``shared`` lists coefficients ("intercept" or a predictor name) that are
     constrained equal across the two break segments. A fit or lag scan
     refuses it without ``break_year``; ``scan_break`` supplies the break
-    years itself. ``window`` restricts the response years.
+    years itself and refuses one. ``window`` restricts the response years.
     """
 
     response: str
@@ -512,6 +512,8 @@ def scan_break(
     estimator's total SSE; ties go to the earliest year. Results are in
     candidate order regardless of evaluation order.
     """
+    if spec.break_year is not None:
+        raise InputError(f'"break_year" {spec.break_year} is what scan_break chooses; drop it')
     try:
         yv, cols, years, labels = _sample(spec, data, True)
     except EstimationError as exc:  # a constant predictor fails every candidate

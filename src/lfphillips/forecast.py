@@ -238,12 +238,12 @@ def load_scenario(path) -> Scenario:
     horizon = tuple(ingest.json_int("scenario 'horizon' year", year) for year in horizon)
     units = doc.get("units", "persons")
     if source == "labor_force_csv":
-        lf = ingest.read_csv_series(_resolve(p, doc, source), "labor-force", units,
-                                    label="labor force")
+        csv = ingest.json_path("scenario 'labor_force_csv'", doc[source], p)
+        lf = ingest.read_csv_series(csv, "labor-force", units, label="labor force")
         return build_scenario(labor_force=lf, horizon=horizon)
     if source == "population_csv":
-        pop = ingest.read_csv_series(_resolve(p, doc, source), "population", units,
-                                     label="population")
+        csv = ingest.json_path("scenario 'population_csv'", doc[source], p)
+        pop = ingest.read_csv_series(csv, "population", units, label="population")
         rate = ingest.json_float("scenario 'participation'", doc["participation"])
         lf = ingest.participation_labor_force(pop, rate)
         return build_scenario(labor_force=lf, horizon=horizon)
@@ -257,9 +257,3 @@ def load_scenario(path) -> Scenario:
     values = tuple(v0 + (v1 - v0) * i / n for i in range(n + 1))
     lf = AnnualSeries(y0, values, label="labor force", units="persons")
     return build_scenario(labor_force=lf, horizon=horizon)
-
-
-def _resolve(scenario_path: Path, doc: dict, key: str) -> Path:
-    """The file that ``doc[key]`` names, relative to the scenario's directory."""
-    q = Path(ingest.json_str(f"scenario '{key}'", doc[key]))
-    return q if q.is_absolute() else scenario_path.parent / q

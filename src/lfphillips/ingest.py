@@ -3,14 +3,15 @@
 Series CSV is a two-column file with header ``year,value`` and strictly
 consecutive years. A manifest is a JSON file mapping series names to a local
 path or remote descriptor plus a kind and units declaration; units are never
-sniffed from the data. Remote fetches are cache-first: the raw payload is
-written verbatim to the cache directory on first fetch and all later loads
-are offline.
+sniffed from the data. A command reads only the entries that ``entries_for``
+picks. Remote fetches are cache-first: the raw payload is cached verbatim on
+first fetch and all later loads are offline.
 
 Other modules read and write files only through this one: ``read_json``,
 ``json_object`` and the ``json_int``/``json_float``/``json_str`` field checks
-read every spec, scenario and manifest. Every CSV or JSON artifact is
-``csv_text`` or ``json_text``, and every file is written by ``write_atomic``.
+read every spec, scenario and manifest, and ``json_path`` every file they name.
+Every CSV or JSON artifact is ``csv_text`` or ``json_text``, and every file is
+written by ``write_atomic``.
 """
 
 from __future__ import annotations
@@ -100,6 +101,11 @@ def json_str(what: str, value) -> str:
     return value
 
 
+def json_path(what: str, value, doc_path) -> Path:
+    """The file ``value`` names in the JSON file ``doc_path``, relative to its directory."""
+    return Path(doc_path).parent / json_str(what, value)
+
+
 @dataclass(frozen=True)
 class RemoteDescriptor:
     """Location of a series on an agency-style HTTP endpoint.
@@ -126,20 +132,10 @@ class RemoteDescriptor:
 
 @dataclass(frozen=True)
 class ManifestEntry:
-    name: str
     kind: str
     units: str
-    path: str | None = None
+    path: Path | None = None
     remote: RemoteDescriptor | None = None
-
-
-@dataclass(frozen=True)
-class DatasetManifest:
-    entries: dict[str, ManifestEntry]
-    base_dir: Path
-
-    def names(self) -> list[str]:
-        return sorted(self.entries)
 
 
 def read_csv_series(source, kind: str, units: str, label: str = "") -> AnnualSeries:
@@ -264,8 +260,8 @@ _ENTRY_KEYS = ("path", "remote", "kind", "units")
 _REMOTE_KEYS = ("base_url", "dataset", "key", "cache")
 
 
-def load_manifest(path) -> DatasetManifest:
-    """Parse a manifest JSON file; relative series paths resolve against it.
+def load_manifest(path) -> dict[str, ManifestEntry]:
+    """The entries of a manifest JSON file by name, each path resolved against it.
 
     An unknown key, a field of the wrong type, an entry without exactly one
     of ``path`` or ``remote``, or a series that a derived ``<name>_growth``
@@ -290,39 +286,50 @@ def load_manifest(path) -> DatasetManifest:
         if ("path" in raw) == ("remote" in raw):
             raise InputError(f"{what}: needs exactly one of 'path' or 'remote'")
         if "path" in raw:
-            entries[name] = ManifestEntry(name, kind, units,
-                                          path=json_str(f"{what} 'path'", raw["path"]))
+            entries[name] = ManifestEntry(kind, units,
+                                          path=json_path(f"{what} 'path'", raw["path"], p))
             continue
         remote = json_object(what, raw["remote"], _REMOTE_KEYS, _REMOTE_KEYS[:3], "remote.")
         r = {key: json_str(f"{what} 'remote.{key}'", v) for key, v in remote.items()}
         desc = RemoteDescriptor(r["base_url"], r["dataset"], r["key"], cache_path=r.get("cache"))
-        entries[name] = ManifestEntry(name, kind, units, remote=desc)
-    return DatasetManifest(entries=entries, base_dir=p.parent)
+        entries[name] = ManifestEntry(kind, units, remote=desc)
+    return entries
 
 
-def load_series(manifest: DatasetManifest, name: str, cache: Path | None = None) -> AnnualSeries:
-    entry = manifest.entries.get(name)
+def entries_for(manifest: dict[str, ManifestEntry], names) -> dict[str, ManifestEntry]:
+    """The entries that series ``names`` read; ``<name>_growth`` reads labor-force ``<name>``."""
+    return {name: entry for name, entry in manifest.items()
+            if name in names or (entry.kind == "labor-force" and f"{name}_growth" in names)}
+
+
+def load_series(manifest: dict[str, ManifestEntry], name: str,
+                cache: Path | None = None) -> AnnualSeries:
+    """The series ``name``; a failure to read or parse it names the series."""
+    entry = manifest.get(name)
     if entry is None:
-        raise InputError(f"series {name!r} not in manifest (have {manifest.names()})")
-    if entry.path is not None:
-        path = Path(entry.path)
-        if not path.is_absolute():
-            path = manifest.base_dir / path
-        return read_csv_series(path, entry.kind, entry.units, label=name)
-    assert entry.remote is not None
-    return fetch_remote(entry.remote, entry.kind, entry.units, label=name, cache=cache)
+        raise InputError(f"series {name!r} not in manifest (have {sorted(manifest)})")
+    if entry.remote is not None:
+        try:
+            return fetch_remote(entry.remote, entry.kind, entry.units, label=name, cache=cache)
+        except (ParseError, RetrievalError) as exc:
+            raise type(exc)(f"series {name!r}: {exc}") from exc
+    try:
+        return read_csv_series(entry.path, entry.kind, entry.units, label=name)
+    except (OSError, ValueError, InputError) as exc:
+        reason = getattr(exc, "strerror", None) or exc  # an OSError's str() repeats the path
+        raise InputError(f"series {name!r} ({entry.path}): {reason}") from exc
 
 
 def load_all(
-    manifest: DatasetManifest,
+    manifest: dict[str, ManifestEntry],
     cache: Path | None = None,
 ) -> dict[str, AnnualSeries]:
     """Load every manifest series; labor-force entries also get a derived
     ``<name>_growth`` series (annual log-difference) for use as a predictor."""
     from .series import log_growth
 
-    data = {name: load_series(manifest, name, cache=cache) for name in manifest.names()}
-    for name, entry in manifest.entries.items():
+    data = {name: load_series(manifest, name, cache=cache) for name in manifest}
+    for name, entry in manifest.items():
         if entry.kind == "labor-force" and len(data[name]) >= 2:
             data[f"{name}_growth"] = log_growth(data[name]).relabel(f"{name}_growth")
     return data

@@ -977,3 +977,127 @@ class TestSpecParsing:
         lag = flag.partition(":")[2]
         assert f"--predictor '{flag}': lag '{lag}' is not an integer" in err
         assert "Traceback" not in err
+
+
+def japan_manifest(tmp_path, **extra) -> Path:
+    """A copy of the data/japan manifest, its paths absolute, with the entries
+    of ``extra`` added or replaced."""
+    doc = json.loads((DATA_DIR / "manifest.json").read_text(encoding="utf-8"))
+    for entry in doc["series"].values():
+        entry["path"] = str(DATA_DIR / entry["path"])
+    doc["series"].update(extra)
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps(doc), encoding="utf-8")
+    return mpath
+
+
+FIT_CPI = ["fit", "--response", "cpi", "--predictor", "unemployment"]
+
+
+class TestReadsOnlyNamedSeries:
+    """A command reads only the manifest series that it names; the other
+    entries are checked but never read or fetched."""
+
+    def test_unused_missing_file(self, tmp_path, capsys):
+        mpath = japan_manifest(tmp_path, unused={"path": "missing.csv", "kind": "unemployment",
+                                                 "units": "percent"})
+        outs = []
+        for name, manifest in (("clean", DATA_DIR / "manifest.json"), ("unused", mpath)):
+            out = tmp_path / name
+            assert run("--manifest", str(manifest), "--out", str(out), *FIT_CPI) == 0
+            outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert sorted(outs[0]) == ["fit.json", "residuals.csv"]
+        assert outs[0] == outs[1]
+
+    def test_unused_cold_remote_is_not_fetched(self, monkeypatch, tmp_path):
+        def no_fetch(*args, **kwargs):
+            raise AssertionError("fetch_payload called for an unused entry")
+
+        monkeypatch.setattr(ingest, "fetch_payload", no_fetch)
+        remote = {"base_url": "http://127.0.0.1:1", "dataset": "lfs", "key": "u"}
+        mpath = japan_manifest(tmp_path, unused={"remote": remote, "kind": "unemployment",
+                                                 "units": "percent"})
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run("--manifest", str(mpath), "--cache-dir", str(tmp_path / "cold"),
+                       "--out", str(tmp_path / "o"), *FIT_CPI) == 0
+        assert not (tmp_path / "cold").exists()
+
+    @pytest.mark.parametrize("command, files", [
+        ("fit", ["cpi_inflation.csv", "unemployment.csv"]),
+        ("scan-lag", ["cpi_inflation.csv", "labor_force.csv"]),
+        ("scan-break", ["cpi_inflation.csv", "unemployment.csv"]),
+        ("diagnose", ["labor_force.csv", "unemployment.csv"]),
+        ("plot", ["cpi_inflation.csv", "unemployment.csv"]),
+        ("forecast", []),
+    ])
+    def test_files_each_command_reads(self, monkeypatch, tmp_path, command, files):
+        read = []
+        real = ingest.read_csv_series
+
+        def spy(source, *args, **kwargs):
+            if isinstance(source, os.PathLike):
+                read.append(Path(source).name)
+            return real(source, *args, **kwargs)
+
+        monkeypatch.setattr(ingest, "read_csv_series", spy)
+        argv = ["--manifest", str(DATA_DIR / "manifest.json"), "--out", str(tmp_path / "o"),
+                *JAPAN_CLI[command]]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(*argv) == 0
+        assert sorted(read) == files
+
+    def test_bad_row_names_the_series_and_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "cpi_bad.csv"
+        bad.write_text("year,value\n2000,1.0\n2001,abc\n", encoding="utf-8")
+        mpath = japan_manifest(tmp_path, cpi={"path": str(bad), "kind": "cpi-inflation",
+                                              "units": "percent"})
+        argv = ["--manifest", str(mpath), "--out", str(tmp_path / "o")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(*argv, "fit", "--response", "unemployment",
+                       "--predictor", "labor_force_growth") == 0
+        assert run(*argv, *FIT_CPI) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: series 'cpi' ({bad}): row 3: unparsable row '2001,abc'\n"
+        # the spec is checked before any named series is read
+        assert run(*argv, "fit", "--predictor", "unemployment") == 2
+
+    # the fuzzed entry is the one that the command reads; TestManifestFuzz's
+    # fit never loads it
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(entry=manifest_entries())
+    def test_named_fuzzed_entry_ends_in_exit_0_or_1(self, monkeypatch, tmp_path, entry):
+        monkeypatch.setattr(ingest, "fetch_payload",
+                            lambda *args, **kwargs: "year,value\n2000,1.0\n2001,2.0\n")
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps({"series": {"x": entry}}), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run("--manifest", str(mpath), "--out", str(tmp_path / "o"),
+                       "plot", "--series", "x")
+        assert code in (0, 1)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert err.getvalue().startswith("error: ")
+
+
+class TestScanBreakYear:
+    """scan-break chooses the break year, so a given one is refused, not dropped."""
+
+    SCAN = ["scan-break", "--response", "cpi", "--predictor", "unemployment",
+            "--years", "1975:1994"]
+
+    def test_inline_break_year(self, tmp_path, capsys):
+        assert run("--manifest", str(DATA_DIR / "manifest.json"), "--out", str(tmp_path / "o"),
+                   *self.SCAN, "--break-year", "1990") == 1
+        err = capsys.readouterr().err
+        assert err.startswith('error: "break_year" 1990')
+        assert not (tmp_path / "o").exists()
+
+    def test_spec_break_year(self, tmp_path, capsys):
+        spath = tmp_path / "spec.json"
+        spath.write_text(json.dumps({"response": "cpi", "predictors": [{"name": "unemployment"}],
+                                     "break_year": 1990}))
+        assert run("--manifest", str(DATA_DIR / "manifest.json"), "--out", str(tmp_path / "o"),
+                   "scan-break", "--spec", str(spath), "--years", "1975:1994") == 1
+        assert capsys.readouterr().err.startswith('error: "break_year" 1990')

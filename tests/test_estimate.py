@@ -277,6 +277,13 @@ class TestScanBreak:
         with pytest.raises(InputError):
             scan_break(spec, {"x": x, "y": y}, [1850])
 
+    def test_break_year_in_the_spec_is_refused(self):
+        # the scan supplies its own break years and would ignore this one
+        x, y = generate(SynthSpec(intercept=0.0, slope=1.0, length=40, seed=1))
+        spec = LinkSpec("y", (Predictor("x"),), break_year=1990)
+        with pytest.raises(InputError, match='^"break_year" 1990'):
+            scan_break(spec, {"x": x, "y": y}, range(1985, 2000))
+
     @pytest.mark.parametrize("estimator", ["ols", "cumulative"])
     @pytest.mark.parametrize("shared", [(), ("intercept",), ("x",)])
     def test_profile_matches_one_fit_per_candidate(self, estimator, shared):

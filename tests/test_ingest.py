@@ -289,3 +289,55 @@ class TestParticipation:
         pop = AnnualSeries(2010, (1e6,), units="persons")
         with pytest.raises(InputError):
             ingest.participation_labor_force(pop, 1.5)
+
+
+U_CSV = {"path": "u.csv", "kind": "unemployment", "units": "percent"}
+
+
+def write_manifest(tmp_path, series) -> Path:
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps({"series": series}))
+    return mpath
+
+
+class TestManifestEntries:
+    def test_paths_resolve_against_the_manifest(self, tmp_path):
+        absolute = str(tmp_path / "elsewhere" / "v.csv")
+        manifest = ingest.load_manifest(write_manifest(tmp_path, {
+            "u": U_CSV, "v": {**U_CSV, "path": absolute}}))
+        assert manifest["u"].path == tmp_path / "u.csv"
+        assert manifest["v"].path == Path(absolute)
+
+    def test_entries_for_names_and_growth(self, tmp_path):
+        lf = {"path": "lf.csv", "kind": "labor-force", "units": "persons"}
+        manifest = ingest.load_manifest(write_manifest(tmp_path, {
+            "u": U_CSV, "v": U_CSV, "lf": lf, "pop": {**lf, "kind": "population"}}))
+        assert sorted(ingest.entries_for(manifest, ["u", "nope"])) == ["u"]
+        assert sorted(ingest.entries_for(manifest, ["v", "lf_growth"])) == ["lf", "v"]
+        # only a labor-force entry has a derived growth series
+        assert ingest.entries_for(manifest, ["pop_growth", "u_growth"]) == {}
+
+    @pytest.mark.parametrize("text, reason", [
+        (None, "No such file or directory"),
+        ("year,value\n1980,1.0\n1981,x\n", "row 3: unparsable row '1981,x'"),
+        (b"year,value\n1980,\xff\n", "'utf-8' codec can't decode"),
+    ], ids=["missing", "bad-row", "not-utf-8"])
+    def test_read_failure_names_the_series_and_the_file(self, tmp_path, text, reason):
+        if isinstance(text, bytes):
+            (tmp_path / "u.csv").write_bytes(text)
+        elif text is not None:
+            (tmp_path / "u.csv").write_text(text)
+        manifest = ingest.load_manifest(write_manifest(tmp_path, {"u": U_CSV}))
+        with pytest.raises(InputError) as info:
+            ingest.load_series(manifest, "u")
+        assert str(info.value).startswith(f"series 'u' ({tmp_path / 'u.csv'}): {reason}")
+
+    def test_malformed_payload_names_the_series_and_the_url(self, tmp_path):
+        desc = ingest.RemoteDescriptor(base_url="http://example.invalid", dataset="x", key="y")
+        desc.cache_file(tmp_path).write_text("Not Found")
+        manifest = ingest.load_manifest(write_manifest(tmp_path, {"u": {
+            "remote": {"base_url": desc.base_url, "dataset": "x", "key": "y"},
+            "kind": "unemployment", "units": "percent"}}))
+        with pytest.raises(ParseError) as info:
+            ingest.load_series(manifest, "u", cache=tmp_path)
+        assert str(info.value).startswith(f"series 'u': malformed payload from {desc.url}: ")
