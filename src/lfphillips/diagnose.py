@@ -32,13 +32,25 @@ _BETACF_MAX_ITER = 500
 _FPMIN = 1e-300
 
 
-def r_squared_stack(observed: np.ndarray, predicted: np.ndarray) -> np.ndarray:
+def r_squared_stack(observed: np.ndarray, predicted: np.ndarray,
+                    n: np.ndarray | None = None) -> np.ndarray:
     """1 - SSE/SST over the last axis, per slice of a stack; NaN where the
     observed slice is exactly constant (round-off leaves a constant like 0.01
-    a tiny nonzero SST)."""
-    sst = np.sum((observed - observed.mean(axis=-1, keepdims=True)) ** 2, axis=-1)
+    a tiny nonzero SST).
+
+    ``n`` (m,) counts the rows of each slice's sample, which fills the first
+    n entries of an (m, F) frame; both curves must be zero past it. The
+    mean, SST and spread read only those rows. None: every slice fills its
+    frame, and nothing is masked."""
+    rows = observed.shape[-1] if n is None else n[:, None]
+    dev = observed - observed.sum(axis=-1, keepdims=True) / rows
+    varies = observed != observed[..., :1]
+    if n is not None:
+        in_sample = sample_rows(n, observed.shape[-1])
+        dev, varies = dev * in_sample, varies & in_sample
+    sst = np.sum(dev ** 2, axis=-1)
     sse = np.sum((observed - predicted) ** 2, axis=-1)
-    return 1.0 - sse / np.where(np.ptp(observed, axis=-1) > 0, sst, np.nan)
+    return 1.0 - sse / np.where(varies.any(axis=-1), sst, np.nan)
 
 
 def residual_sigma_values(residuals: np.ndarray) -> float:
@@ -46,30 +58,43 @@ def residual_sigma_values(residuals: np.ndarray) -> float:
     return float(np.sqrt(np.mean((residuals - residuals.mean()) ** 2)))
 
 
-def least_squares_stack(Xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Minimize ||X_i beta_i - y_i|| for every slice of an (m, n, k+1) stack ``[X | y]``.
+def least_squares_stack(Xy: np.ndarray, n: np.ndarray | None = None
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Minimize ||X_i beta_i - y_i|| for every slice of an (m, F, k+1) stack ``[X | y]``.
 
     One batched R-only QR of the stack solves every slice without forming Q:
     the leading k x k block of R is R of X, the column beside it is Q'y and
     the entry below that is +-||y - X beta||. Returns ``(beta, rss, R^-1,
     full_rank)`` of shapes (m, k), (m,), (m, k, k) and (m,); rss is 0 when
     n == k. ``R^-1 R^-T = (X'X)^-1``, so the classical covariance is s^2 R^-1 R^-T.
-    A slice is rank deficient when min|diag R| <= max(n, k) * eps * max|diag R|,
-    numpy's default rank tolerance; its outputs are meaningless. Raises
-    EstimationError when n < k.
+
+    ``n`` (m,) counts the rows of each slice's sample, the first n of the F
+    rows; the rows past it must be zero, which leaves R as it is. None: every
+    slice has F rows. A slice is rank deficient when min|diag R| <= max(n, k)
+    * eps * max|diag R|, numpy's default rank tolerance at the slice's own n;
+    so is every slice with n < k, whose R has a zero diagonal entry. A rank
+    deficient slice's outputs are meaningless. Raises EstimationError when
+    F < k.
     """
     Xy = np.asarray(Xy, dtype=float)
-    n, k = Xy.shape[-2], Xy.shape[-1] - 1
-    if n < k:
+    frame, k = Xy.shape[-2], Xy.shape[-1] - 1
+    if frame < k:
         raise EstimationError("degenerate design: zero-variance or collinear predictors")
     r = np.linalg.qr(Xy, mode="r")
     r_x, qty = r[:, :k, :k], r[:, :k, k]
     diag = np.abs(np.diagonal(r_x, axis1=-2, axis2=-1))
-    full_rank = diag.min(axis=-1) > max(n, k) * np.finfo(float).eps * diag.max(axis=-1)
+    rows = max(frame, k) if n is None else np.maximum(n, k)
+    full_rank = diag.min(axis=-1) > rows * np.finfo(float).eps * diag.max(axis=-1)
     # rank-deficient slices invert I instead, so one singular R cannot fail the stack
     r_inv = np.linalg.inv(np.where(full_rank[:, None, None], r_x, np.eye(k)))
-    rss = r[:, k, k] ** 2 if n > k else np.zeros(len(r))
+    # zero rows leave R's corner at 0 in a slice with n == k
+    rss = r[:, k, k] ** 2 if frame > k else np.zeros(len(r))
     return matvec(r_inv, qty), rss, r_inv, full_rank
+
+
+def sample_rows(n: np.ndarray, frame: int) -> np.ndarray:
+    """(m, F) mask of the rows each slice's sample fills: the first n of F."""
+    return np.arange(frame) < n[:, None]
 
 
 def matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -16,11 +16,20 @@ intercept or slope arise. A fit is the scan of one: fits and both scans take
 the solution and the annual and cumulative curves of a design stack from
 ``_stack_curves``, the one caller of ``_solve`` and so of the kernel. A fit
 reads everything off its stack of one. Scans keep only what they rank: a
-break-year scan each objective SSE, and a lag scan, which stacks the lags of
-equal sample length together, each lag's SSEs and R^2 (``LagScore``).
+break-year scan each objective SSE, and a lag scan each lag's SSEs and R^2
+(``LagScore``).
+
+Every sample of a spec lives in one frame: the response's years inside the
+window, F rows whatever the lags or the break year. A sample of n <= F years
+fills the frame's first n rows; the rows past it are zero in the design, the
+response and both cumulative curves, and the solve and the scores read each
+slice's n, so nothing past it counts. A lag scan solves all its lags as slices
+of one frame, a break scan all its candidates, and a fit is the frame of one,
+so a scan's slice and the fit at that lag or break year are the same array.
+When every sample fills the frame, nothing is masked.
 
 Design stacks are column-major in every slice: ``_design`` fills an
-(m, k+1, n) buffer one row per column and hands out its transposed view, and
+(m, k+1, F) buffer one row per column and hands out its transposed view, and
 the cumulative estimator forms its reduced stack as (M' C')', so LAPACK's QR
 reads each slice without a transposing copy.
 
@@ -43,6 +52,7 @@ from .diagnose import (
     matvec,
     r_squared_stack,
     residual_sigma_values,
+    sample_rows,
     t_pvalue,
 )
 from .errors import EstimationError, InputError
@@ -218,33 +228,60 @@ def _param_labels(spec: LinkSpec, piecewise: bool) -> list[tuple[str, str, str |
     return out
 
 
-def _aligned_sample(spec: LinkSpec, data: Mapping[str, AnnualSeries]):
-    """Response vector, per-predictor columns, and the common year window."""
+def _aligned_sample(spec: LinkSpec, data: Mapping[str, AnnualSeries],
+                    lags: Sequence[int] | None = None):
+    """Response vector, per-predictor columns, and the common year window.
+    ``lags``, one per predictor, replace the spec's own."""
     if spec.response not in data:
         raise InputError(f"response series {spec.response!r} missing from data")
     pairs = [(data[spec.response], 0)]
-    for p in spec.predictors:
+    for p, lag in zip(spec.predictors, lags or [p.lag for p in spec.predictors]):
         if p.name not in data:
             raise InputError(f"predictor series {p.name!r} missing from data")
-        pairs.append((data[p.name], p.lag))
+        pairs.append((data[p.name], lag))
     (yv, *xs), years = align(pairs, spec.window)
     return yv, {p.name: x for p, x in zip(spec.predictors, xs)}, years
 
 
-def _sample(spec: LinkSpec, data: Mapping[str, AnnualSeries], piecewise: bool):
-    """Aligned sample and solve labels, after the checks no break year changes.
+def _frame_rows(spec: LinkSpec, data: Mapping[str, AnnualSeries]) -> int:
+    """F, the rows of the spec's frame: the response's years inside the
+    window. Every sample of the spec, at any lag or break year, is a run of
+    at most F of those years."""
+    y = data[spec.response]
+    first, last = y.start_year, y.end_year
+    if spec.window is not None:
+        first, last = max(first, spec.window[0]), min(last, spec.window[1])
+    return last - first + 1
 
+
+def _row_counts(lengths: Sequence[int], rows: int) -> np.ndarray | None:
+    """Sample lengths, one per slice, as the solve reads them: None when every
+    sample fills its frame of ``rows`` rows, so that nothing is masked."""
+    return None if min(lengths) == rows else np.array(lengths)
+
+
+def _sample(spec: LinkSpec, data: Mapping[str, AnnualSeries], labels,
+            lags: Sequence[int] | None = None):
+    """``_aligned_sample`` after the checks no break year changes, for a
+    solve of the coefficients ``labels``, in the spec's frame.
+
+    Returns the response vector, each predictor's column and the years, each
+    over the frame's F rows, and the sample's length n. The sample fills the
+    first n rows; past them the values are zero and the years run on.
     A predictor that is exactly constant on the window raises EstimationError;
     every other problem raises InputError.
     """
-    yv, cols, years = _aligned_sample(spec, data)
+    yv, cols, years = _aligned_sample(spec, data, lags)
     for name, col in cols.items():
         if np.ptp(col) == 0.0:
             raise EstimationError(f"predictor {name!r} has zero variance on the window")
-    labels = _param_labels(spec, piecewise)
-    if len(years) < len(labels) + 2:
-        raise InputError(f"sample of {len(years)} too small for {len(labels)} coefficients")
-    return yv, cols, years, labels
+    n, rows = len(years), _frame_rows(spec, data)
+    if n < len(labels) + 2:
+        raise InputError(f"sample of {n} too small for {len(labels)} coefficients")
+    if n < rows:
+        yv, *xs = (np.concatenate([v, np.zeros(rows - n)]) for v in (yv, *cols.values()))
+        cols, years = dict(zip(cols, xs)), np.arange(years[0], years[0] + rows)
+    return yv, cols, years, n
 
 
 def _check_shared(spec: LinkSpec) -> None:
@@ -254,15 +291,15 @@ def _check_shared(spec: LinkSpec) -> None:
                          "without a break there is nothing to share")
 
 
-def _fit_sample(spec: LinkSpec, data: Mapping[str, AnnualSeries]):
-    """``_sample`` for a fit of ``spec`` as given, its break year checked too."""
-    piecewise = spec.break_year is not None
-    yv, cols, years, labels = _sample(spec, data, piecewise)
-    if piecewise:
-        problem = _break_error(spec.break_year, years, labels)
+def _fit_sample(spec: LinkSpec, data: Mapping[str, AnnualSeries], labels,
+                lags: Sequence[int] | None = None):
+    """``_sample`` for a fit of ``spec``, its break year checked too."""
+    yv, cols, years, n = _sample(spec, data, labels, lags)
+    if spec.break_year is not None:
+        problem = _break_error(spec.break_year, years[:n], labels)
         if problem is not None:
             raise InputError(problem)
-    return yv, cols, years, labels
+    return yv, cols, years, n
 
 
 def _break_error(year: int, years: np.ndarray, labels) -> str | None:
@@ -277,13 +314,16 @@ def _break_error(year: int, years: np.ndarray, labels) -> str | None:
 
 
 def _design(labels, cols: Mapping[str, np.ndarray], years: np.ndarray,
-            break_years: Sequence[int | None], yv: np.ndarray | None = None) -> np.ndarray:
-    """(m, n, k) design stack, one slice per break year (None: no break), or
-    the (m, n, k+1) stack ``[X | y]`` of the solve when given a response ``yv``.
-    ``years``, ``yv`` and each column are (n,) when every slice shares them,
-    or (m, n) with one row per slice.
+            break_years: Sequence[int | None], yv: np.ndarray | None = None,
+            n: np.ndarray | None = None) -> np.ndarray:
+    """(m, F, k) design stack, one slice per break year (None: no break), or
+    the (m, F, k+1) stack ``[X | y]`` of the solve when given a response ``yv``.
+    ``years``, ``yv`` and each column are (F,) or (1, F) when every slice
+    shares them, or (m, F) with one row per slice. ``n`` counts each slice's
+    sample rows as ``_row_counts`` gives them: the columns and ``yv`` are zero
+    past them, and so is the intercept.
 
-    The stack is the transposed view of an (m, k or k+1, n) buffer filled
+    The stack is the transposed view of an (m, k or k+1, F) buffer filled
     one row per column, so every slice is column-major: the layout LAPACK's QR reads
     without a transposing copy, and in which a column is contiguous."""
     # no break: every year is pre-break, which an untagged design never reads
@@ -292,8 +332,9 @@ def _design(labels, cols: Mapping[str, np.ndarray], years: np.ndarray,
     rows = np.empty((len(post), len(labels) + (yv is not None), post.shape[-1]))
     if yv is not None:
         rows[:, -1] = yv
+    ones = 1.0 if n is None else sample_rows(n, post.shape[-1]).astype(float)
     for j, (_, name, tag) in enumerate(labels):
-        base = 1.0 if name == INTERCEPT else cols[name]
+        base = ones if name == INTERCEPT else cols[name]
         if tag == "pre":
             rows[:, j] = np.where(post, 0.0, base)
         elif tag == "post":
@@ -303,29 +344,35 @@ def _design(labels, cols: Mapping[str, np.ndarray], years: np.ndarray,
     return np.swapaxes(rows, -1, -2)
 
 
-def _solve(estimator: str, Xy: np.ndarray):
-    """The estimator's least squares on every slice of an (m, n, k+1) stack ``[X | y]``.
+def _solve(estimator: str, Xy: np.ndarray, n: np.ndarray | None = None):
+    """The estimator's least squares on every slice of an (m, F, k+1) stack
+    ``[X | y]`` whose slices hold samples of ``n`` rows (None: F rows each).
 
     Returns ``(beta, rss, N R^-1, full_rank)`` as ``least_squares_stack`` does,
     rss on the estimator's own curves; N spans the free directions (N = I for
     OLS), so the classical covariance is s^2 (N R^-1)(N R^-1)'.
     """
     if estimator != "cumulative":
-        return least_squares_stack(Xy)
+        return least_squares_stack(Xy, n)
     # cumulate the rows of the transposed stack: with _design's column-major
     # slices they are contiguous, and so is the reduced stack built from them
     Ct, k = np.cumsum(np.swapaxes(Xy, -1, -2), axis=-1), Xy.shape[-1] - 1
     # Eliminate the endpoint constraint c.z = d ([c | d]: last cumulated row):
     # z = z0 + N w, with N the trailing columns of the complete QR of c.
     # c never vanishes, because its intercept entries count observations.
+    # The design is zero past a sample's n rows, so its last cumulated row
+    # is the one of row n-1 however short the sample is.
     # [A | b] [[N, -z0], [0, 1]] = [A N | b - A z0] is the reduced stack,
     # formed as (M' C')' so that its slices stay column-major.
     q, r = np.linalg.qr(Ct[:, :k, -1:], mode="complete")
     z0, nullspace = q[:, :, 0] * (Ct[:, k:, -1] / r[:, :1, 0]), q[:, :, 1:]
+    if n is not None:
+        # the reduced stack is zero past each sample, as the design is
+        Ct *= sample_rows(n, Ct.shape[-1])[:, None]
     M = np.zeros((len(Ct), k + 1, k))
     M[:, :k, :-1], M[:, :k, -1], M[:, k, -1] = nullspace, -z0, 1.0
     reduced = np.swapaxes(np.swapaxes(M, -1, -2) @ Ct, -1, -2)
-    w, rss, r_inv, full_rank = least_squares_stack(reduced)
+    w, rss, r_inv, full_rank = least_squares_stack(reduced, n)
     return z0 + matvec(nullspace, w), rss, nullspace @ r_inv, full_rank
 
 
@@ -351,20 +398,22 @@ def _segments_from_coefficients(spec, labels, beta, first, last):
 def _fit(spec: LinkSpec, data: Mapping[str, AnnualSeries]) -> FitResult:
     """One fit: the stack of one through the scan's design, solve and curves."""
     _check_shared(spec)
-    yv, cols, years, labels = _fit_sample(spec, data)
-    Xy = _design(labels, cols, years, [spec.break_year], yv)
-    solution, annual, cumulative = _stack_curves(spec.estimator, Xy, yv)
+    labels = _param_labels(spec, spec.break_year is not None)
+    yv, cols, years, length = _fit_sample(spec, data, labels)
+    n = _row_counts([length], len(yv))
+    Xy = _design(labels, cols, years, [spec.break_year], yv, n)
+    solution, annual, cumulative = _stack_curves(spec.estimator, Xy, yv, n)
     (beta,), (rss,), (r_inv,), (full_rank,) = solution
     if not full_rank:
         raise EstimationError("degenerate design: zero-variance or collinear predictors")
     # classical errors: cov = s^2 (N R^-1)(N R^-1)', with N = I for OLS
-    dof = len(years) - r_inv.shape[1]
+    dof = length - r_inv.shape[1]
     stderr = np.sqrt(float(rss) / dof) * np.linalg.norm(r_inv, axis=1)
     names = [label for label, _, _ in labels]
-    resid = yv - annual[1][0]
-    first, last = int(years[0]), int(years[-1])
+    resid = (yv - annual[1][0])[:length]
+    first, last = int(years[0]), int(years[length - 1])
     sse_annual, sse_cumulative, r2_annual, r2_cumulative = (
-        float(v[0]) for v in _scores(annual, cumulative))
+        float(v[0]) for v in _scores(annual, cumulative, n))
     return FitResult(
         spec=spec,
         segments=_segments_from_coefficients(spec, labels, beta, first, last),
@@ -432,11 +481,12 @@ def scan_lag(
 ) -> tuple[list[tuple[int, LagScore]], int]:
     """Exhaustive scan over integer lags of one predictor, scores only.
 
-    Each lag's sample is aligned and checked as ``fit`` checks it. The legal
-    lags are grouped by sample length (a lag moves the common window unless
-    ``window`` pins it), and each group is solved in stacked passes of at
-    most ``_STACK_ENTRIES`` design entries each. Lags with an illegal sample
-    or a rank-deficient design are dropped. Every kept lag gets a
+    Each lag's sample is aligned and checked as ``fit`` checks it, from the
+    one spec with that lag's shift. A lag moves the common window unless
+    ``window`` pins it, but every legal lag's sample fits in the spec's one
+    frame, and all of them are solved as slices of it, in stacked passes of
+    at most ``_STACK_ENTRIES`` design entries each. Lags with an illegal
+    sample or a rank-deficient design are dropped. Every kept lag gets a
     ``LagScore`` equal to the matching numbers of ``fit`` at that lag; no
     coefficient, standard error or p-value is computed. Results are in
     candidate order, duplicates included.
@@ -455,16 +505,17 @@ def scan_lag(
     _check_shared(spec)
     lags = [json_int("lag", lag) for lag in lag_range]
     labels = _param_labels(spec, spec.break_year is not None)
-    groups: dict[int, list] = {}
+    shifts, scanned = [p.lag for p in spec.predictors], names.index(name)
+    members = []
     for lag in dict.fromkeys(lags):
+        shifts[scanned] = lag
         try:
-            yv, cols, years, _ = _fit_sample(spec.with_lag(name, lag), data)
+            members.append((lag, *_fit_sample(spec, data, labels, shifts)))
         except (InputError, EstimationError):
             continue
-        groups.setdefault(len(years), []).append((lag, yv, cols, years))
     scores: dict[int, LagScore] = {}
-    for n, members in groups.items():
-        for chunk in _passes(members, n, len(labels)):
+    if members:  # every sample spans the frame's F rows
+        for chunk in _passes(members, len(members[0][1]), len(labels)):
             scores.update(_lag_scores(spec, labels, chunk))
     results = [(lag, scores[lag]) for lag in lags if lag in scores]
     if not results:
@@ -475,22 +526,24 @@ def scan_lag(
 
 
 def _lag_scores(spec, labels, members) -> dict[int, LagScore]:
-    """LagScore of every full-rank lag among equal-length samples, in one stacked solve."""
-    lags, yvs, cols, years = zip(*members)
+    """LagScore of every full-rank lag, each lag's sample one slice of the
+    spec's frame, in one stacked solve."""
+    lags, yvs, cols, years, lengths = zip(*members)
     yv = np.stack(yvs)
+    n = _row_counts(lengths, yv.shape[-1])
     Xy = _design(labels, {p.name: np.stack([c[p.name] for c in cols]) for p in spec.predictors},
-                 np.stack(years), [spec.break_year] * len(lags), yv)
-    (_, _, _, full_rank), annual, cumulative = _stack_curves(spec.estimator, Xy, yv)
-    rows = zip(*_scores(annual, cumulative))
+                 np.stack(years), [spec.break_year] * len(lags), yv, n)
+    (_, _, _, full_rank), annual, cumulative = _stack_curves(spec.estimator, Xy, yv, n)
+    rows = zip(*_scores(annual, cumulative, n))
     return {lag: LagScore(spec.estimator, *map(float, row))
             for lag, row, ok in zip(lags, rows, full_rank) if ok}
 
 
-def _scores(annual, cumulative):
+def _scores(annual, cumulative, n):
     """Annual and cumulative SSE, then annual and cumulative R^2, of the
-    (observed, predicted) curves."""
+    (observed, predicted) curves of samples of ``n`` rows."""
     return (_sse(*annual), _sse(*cumulative),
-            r_squared_stack(*annual), r_squared_stack(*cumulative))
+            r_squared_stack(*annual, n), r_squared_stack(*cumulative, n))
 
 
 def _rank_value(criterion: float) -> float:
@@ -514,42 +567,50 @@ def scan_break(
     """
     if spec.break_year is not None:
         raise InputError(f'"break_year" {spec.break_year} is what scan_break chooses; drop it')
+    labels = _param_labels(spec, True)
     try:
-        yv, cols, years, labels = _sample(spec, data, True)
+        yv, cols, years, length = _sample(spec, data, labels)
     except EstimationError as exc:  # a constant predictor fails every candidate
         raise InputError(str(exc)) from exc
-    legal = [year for year in candidate_years if _break_error(year, years, labels) is None]
+    legal = [year for year in candidate_years
+             if _break_error(year, years[:length], labels) is None]
+    n = _row_counts([length], len(yv))  # one sample, shared by every slice
     profile: list[tuple[int, float]] = []
-    for chunk in _passes(legal, len(years), len(labels)):
-        profile += _break_sse(spec.estimator, labels, cols, years, yv, chunk)
+    for chunk in _passes(legal, len(yv), len(labels)):
+        profile += _break_sse(spec.estimator, labels, cols, years, yv, n, chunk)
     if not profile:
         raise InputError("no candidate break year yields a legal piecewise fit")
     best = min(profile, key=lambda item: (item[1], item[0]))
     return profile, best[0]
 
 
-def _break_sse(estimator, labels, cols, years, yv, break_years) -> list[tuple[int, float]]:
+def _break_sse(estimator, labels, cols, years, yv, n, break_years) -> list[tuple[int, float]]:
     """(year, objective SSE) of every full-rank candidate, in one stacked solve."""
-    Xy = _design(labels, cols, years, break_years, yv)
-    (_, _, _, full_rank), annual, cumulative = _stack_curves(estimator, Xy, yv)
+    Xy = _design(labels, cols, years, break_years, yv, n)
+    (_, _, _, full_rank), annual, cumulative = _stack_curves(estimator, Xy, yv, n)
     sse = _sse(*(cumulative if estimator == "cumulative" else annual))
     return [(year, float(e)) for year, e, ok in zip(break_years, sse, full_rank) if ok]
 
 
-def _passes(candidates: list, n: int, k: int) -> list[list]:
+def _passes(candidates: list, rows: int, k: int) -> list[list]:
     """``candidates`` in consecutive chunks of at most ``_STACK_ENTRIES``
-    design entries, at n x k entries per candidate."""
-    step = max(1, _STACK_ENTRIES // (n * k))
+    design entries, at rows x k entries per candidate."""
+    step = max(1, _STACK_ENTRIES // (rows * k))
     return [candidates[i:i + step] for i in range(0, len(candidates), step)]
 
 
-def _stack_curves(estimator, Xy, yv):
+def _stack_curves(estimator, Xy, yv, n=None):
     """``_solve``'s ``(beta, rss, N R^-1, full_rank)`` and the annual and
     cumulative (observed, predicted) curves of every slice of a stack
-    ``[X | y]`` whose y is ``yv``."""
-    solution = _solve(estimator, Xy)
+    ``[X | y]`` whose y is ``yv`` and whose samples have ``n`` rows. Like
+    the design, every curve is zero past its sample."""
+    solution = _solve(estimator, Xy, n)
     pred = matvec(Xy[..., :-1], solution[0])
-    return solution, (yv, pred), (np.cumsum(yv, axis=-1), np.cumsum(pred, axis=-1))
+    cumulative = np.cumsum(yv, axis=-1), np.cumsum(pred, axis=-1)
+    if n is not None:
+        in_sample = sample_rows(n, Xy.shape[-2])
+        cumulative = tuple(curve * in_sample for curve in cumulative)
+    return solution, (yv, pred), cumulative
 
 
 def predict(

@@ -238,12 +238,14 @@ def load_scenario(path) -> Scenario:
     horizon = tuple(ingest.json_int("scenario 'horizon' year", year) for year in horizon)
     units = doc.get("units", "persons")
     if source == "labor_force_csv":
-        csv = ingest.json_path("scenario 'labor_force_csv'", doc[source], p)
-        lf = ingest.read_csv_series(csv, "labor-force", units, label="labor force")
+        csv = ingest.json_path(f"scenario {source!r}", doc[source], p)
+        lf = ingest.read_csv_file(f"scenario {source!r}", csv, "labor-force", units,
+                                  label="labor force")
         return build_scenario(labor_force=lf, horizon=horizon)
     if source == "population_csv":
-        csv = ingest.json_path("scenario 'population_csv'", doc[source], p)
-        pop = ingest.read_csv_series(csv, "population", units, label="population")
+        csv = ingest.json_path(f"scenario {source!r}", doc[source], p)
+        pop = ingest.read_csv_file(f"scenario {source!r}", csv, "population", units,
+                                   label="population")
         rate = ingest.json_float("scenario 'participation'", doc["participation"])
         lf = ingest.participation_labor_force(pop, rate)
         return build_scenario(labor_force=lf, horizon=horizon)

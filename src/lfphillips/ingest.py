@@ -112,21 +112,22 @@ class RemoteDescriptor:
 
     The payload at ``{base_url}/{dataset}/{key}.csv`` must be the same
     ``year,value`` CSV used on disk. ``cache_path`` overrides the derived
-    cache location when set.
+    cache location when set; ``load_manifest`` resolves a relative one
+    against the manifest's directory, as it resolves ``path``.
     """
 
     base_url: str
     dataset: str
     key: str
-    cache_path: str | None = None
+    cache_path: Path | None = None
 
     @property
     def url(self) -> str:
         return f"{self.base_url.rstrip('/')}/{self.dataset}/{self.key}.csv"
 
     def cache_file(self, cache_dir: Path) -> Path:
-        if self.cache_path:
-            return Path(self.cache_path)
+        if self.cache_path is not None:
+            return self.cache_path
         return cache_dir / f"{self.dataset}__{self.key}.csv"
 
 
@@ -291,7 +292,9 @@ def load_manifest(path) -> dict[str, ManifestEntry]:
             continue
         remote = json_object(what, raw["remote"], _REMOTE_KEYS, _REMOTE_KEYS[:3], "remote.")
         r = {key: json_str(f"{what} 'remote.{key}'", v) for key, v in remote.items()}
-        desc = RemoteDescriptor(r["base_url"], r["dataset"], r["key"], cache_path=r.get("cache"))
+        # an empty "cache" leaves the derived location, as an absent one does
+        cache = json_path(f"{what} 'remote.cache'", r["cache"], p) if r.get("cache") else None
+        desc = RemoteDescriptor(r["base_url"], r["dataset"], r["key"], cache_path=cache)
         entries[name] = ManifestEntry(kind, units, remote=desc)
     return entries
 
@@ -313,11 +316,17 @@ def load_series(manifest: dict[str, ManifestEntry], name: str,
             return fetch_remote(entry.remote, entry.kind, entry.units, label=name, cache=cache)
         except (ParseError, RetrievalError) as exc:
             raise type(exc)(f"series {name!r}: {exc}") from exc
+    return read_csv_file(f"series {name!r}", entry.path, entry.kind, entry.units, label=name)
+
+
+def read_csv_file(what: str, path: Path, kind: str, units: str, label: str = "") -> AnnualSeries:
+    """``read_csv_series`` of the file at ``path``; a failure to read or
+    parse it raises InputError naming ``what`` and the file."""
     try:
-        return read_csv_series(entry.path, entry.kind, entry.units, label=name)
+        return read_csv_series(path, kind, units, label=label)
     except (OSError, ValueError, InputError) as exc:
         reason = getattr(exc, "strerror", None) or exc  # an OSError's str() repeats the path
-        raise InputError(f"series {name!r} ({entry.path}): {reason}") from exc
+        raise InputError(f"{what} ({path}): {reason}") from exc
 
 
 def load_all(

@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -330,6 +331,22 @@ class TestMalformedJson:
         err = capsys.readouterr().err
         assert f"'{culprit}'" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("source, extra", [("labor_force_csv", {}),
+                                               ("population_csv", {"participation": 0.5})])
+    @pytest.mark.parametrize("rows, reason", [
+        ("2008,100\n2009,200\n2010,abc\n", "row 4: unparsable row '2010,abc'"),
+        (None, "No such file or directory"),
+    ])
+    def test_scenario_csv_error_names_the_file(self, tmp_path, capsys, source, extra, rows,
+                                               reason):
+        csv = tmp_path / "lf.csv"
+        if rows is not None:
+            csv.write_text("year,value\n" + rows)
+        spath = tmp_path / "s.json"
+        spath.write_text(json.dumps({"horizon": [2010, 2020], source: "lf.csv", **extra}))
+        assert run("--out", str(tmp_path / "o"), "forecast", "--scenario", str(spath)) == 1
+        assert capsys.readouterr().err == f"error: scenario '{source}' ({csv}): {reason}\n"
 
     @pytest.mark.parametrize("fields, culprit", [
         ({"break_year": "1990"}, "break_year"),
@@ -799,6 +816,30 @@ class TestFetchCommand:
         mpath.write_text(json.dumps(manifest))
         assert run("--manifest", str(mpath), "--cache-dir", str(tmp_path / "c"),
                    "fetch", "--timeout", "0.2") == 1
+
+
+    def test_relative_cache_resolves_against_the_manifest(self, monkeypatch, tmp_path):
+        def no_fetch(*args, **kwargs):
+            raise AssertionError("a warm cache was fetched")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_fetch)
+        root = tmp_path / "m"
+        (root / "cache").mkdir(parents=True)
+        (root / "cache" / "u.csv").write_text(
+            "year,value\n" + "".join(f"{1990 + i},{2.0 + 0.1 * i}\n" for i in range(10)))
+        remote = {"base_url": "http://127.0.0.1:1", "dataset": "lfs", "key": "u",
+                  "cache": "cache/u.csv"}
+        manifest = {"series": {"u": {"remote": remote, "kind": "unemployment",
+                                     "units": "percent"}}}
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        for cwd, mpath in ((root, "manifest.json"), (tmp_path, "m/manifest.json")):
+            monkeypatch.chdir(cwd)
+            out = tmp_path / f"out-{cwd.name}"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run("--manifest", mpath, "--cache-dir", str(tmp_path / "cold"),
+                           "--out", str(out), "plot", "--series", "u") == 0
+            assert (out / "chart.svg").exists()
+        assert not (tmp_path / "cold").exists()
 
 
 class TestDeterminism:

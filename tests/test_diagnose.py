@@ -38,6 +38,14 @@ class TestRSquared:
     def test_zero_variance(self):
         assert math.isnan(r_squared_stack(np.ones(3), np.ones(3)))
 
+    def test_zero_rows_past_the_sample_are_not_read(self):
+        # a constant slice stays NaN although its padding differs from it
+        obs = np.array([[1.0, 2.0, 4.0, 3.0, 0.0, 0.0], [0.5, 0.5, 0.5, 0.0, 0.0, 0.0]])
+        pred = np.array([[1.5, 2.0, 3.0, 3.5, 0.0, 0.0], [0.5, 0.5, 0.5, 0.0, 0.0, 0.0]])
+        got = r_squared_stack(obs, pred, np.array([4, 3]))
+        assert got[0] == pytest.approx(r_squared_stack(obs[0, :4], pred[0, :4]), rel=1e-15)
+        assert math.isnan(got[1])
+
 
 class TestResidualSigma:
     def test_zero_residuals(self):
@@ -117,6 +125,58 @@ class TestLeastSquares:
             alone = least_squares_stack(slices[i][None])
             for got, want in zip((beta, rss, r_inv), alone):
                 np.testing.assert_array_equal(got[i], want[0])
+
+
+def _near_threshold_design(n=10, ratio=20):
+    """[1 | 1 + d v | y] with v a unit vector orthogonal to 1, so that
+    |R22| / |R11| = ratio * eps: full rank at the tolerance of n rows, rank
+    deficient at that of 4n."""
+    v = np.resize([1.0, -1.0], n) / math.sqrt(n)
+    d = ratio * np.finfo(float).eps * math.sqrt(n)
+    return np.column_stack([np.ones(n), 1.0 + d * v]), np.linspace(0.0, 1.0, n)
+
+
+def _doubled_intercept_design(seed):
+    X, y = _seeded_design(False, seed)
+    return np.column_stack([X, np.ones(len(y))]), y
+
+
+class TestZeroPadding:
+    """A slice padded with zero rows and solved at its own row count is the
+    unpadded slice: the same rank decision and the same solution."""
+
+    @pytest.mark.parametrize("design, full, compare_beta", [
+        (lambda: _seeded_design(False, 5), True, True),
+        (lambda: _seeded_design(True, 6), True, True),
+        (lambda: _doubled_intercept_design(7), False, False),
+        # cond ~ 1e14: the rank decision is what is compared
+        (_near_threshold_design, True, False),
+    ])
+    def test_padding_keeps_rank_and_solution(self, design, full, compare_beta):
+        X, y = design()
+        Xy = _stack_of_one(X, y)
+        padded = np.concatenate([Xy, np.zeros((1, 3 * len(y), Xy.shape[-1]))], axis=1)
+        beta, rss, _, full_rank = least_squares_stack(Xy)
+        got_beta, got_rss, _, got_full = least_squares_stack(padded, np.array([len(y)]))
+        assert full_rank[0] == got_full[0] == full
+        if compare_beta:
+            np.testing.assert_allclose(got_beta[0], beta[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got_rss[0], rss[0], rtol=1e-12)
+
+    def test_tolerance_reads_each_slices_own_rows(self):
+        X, y = _near_threshold_design()
+        padded = np.concatenate([_stack_of_one(X, y), np.zeros((1, 30, 3))], axis=1)
+        # at the frame's 40 rows the same slice would be rank deficient
+        assert not least_squares_stack(padded)[3][0]
+        assert least_squares_stack(padded, np.array([10]))[3][0]
+
+    def test_square_sample_in_a_taller_frame_has_zero_rss(self):
+        rng = np.random.default_rng(8)
+        X, y = rng.normal(size=(3, 3)), rng.normal(size=3)
+        padded = np.concatenate([_stack_of_one(X, y), np.zeros((1, 5, 4))], axis=1)
+        beta, rss, _, full_rank = least_squares_stack(padded, np.array([3]))
+        assert full_rank[0] and rss[0] == 0.0
+        np.testing.assert_allclose(X @ beta[0], y, rtol=0, atol=1e-12)
 
 
 class TestTPvalue:

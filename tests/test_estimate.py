@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lfphillips import estimate
 from lfphillips.errors import EstimationError, InputError
@@ -571,6 +572,29 @@ def ragged_data():
     return {"x": x, "y": y, "z": z}
 
 
+@st.composite
+def ragged_scans(draw):
+    """A spec of y on x, y and x over drawn, overlapping spans, and a lag
+    range: a window or none, either estimator, a break (its intercept shared
+    or not) or none."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    y_start = draw(st.integers(1975, 1985))
+    starts = {"y": y_start, "x": y_start + draw(st.integers(-8, 8))}
+    data = {name: series(rng.normal(0.0, 0.01, draw(st.integers(15, 40))), start=start)
+            for name, start in starts.items()}
+    window = None
+    if draw(st.booleans()):
+        first = y_start + draw(st.integers(-3, 10))
+        window = (first, first + draw(st.integers(6, 30)))
+    first_lag = draw(st.integers(-12, 4))
+    lags = range(first_lag, first_lag + draw(st.integers(1, 14)))
+    break_year = draw(st.none() | st.integers(y_start + 5, y_start + 20))
+    shared = ("intercept",) if break_year is not None and draw(st.booleans()) else ()
+    spec = LinkSpec("y", (Predictor("x"),), estimator=draw(st.sampled_from(["ols", "cumulative"])),
+                    break_year=break_year, shared=shared, window=window)
+    return spec, data, lags
+
+
 class TestLagScores:
     @pytest.mark.parametrize("estimator", ["ols", "cumulative"])
     @pytest.mark.parametrize("window", [None, (1985, 2005)])
@@ -598,7 +622,7 @@ class TestLagScores:
                                   length=4000, seed=67, start_year=1000))
         spec = LinkSpec("y", (Predictor("x"),), estimator=estimator, window=(1100, 4900))
         lags = range(-15, 16)
-        # every lag has the same sample length, so the one group is split into passes
+        # every lag's sample fills the one frame, which is split into passes
         assert 3801 * 2 * len(lags) > 2 * estimate._STACK_ENTRIES
         assert assert_scores_equal_fits(spec, {"x": x, "y": y}, lags) == len(lags)
         assert scan_lag(spec, {"x": x, "y": y}, lags)[1] == 3
@@ -624,6 +648,35 @@ class TestLagScores:
             assert 0 < kept < len(lags)
         with pytest.raises(EstimationError):
             fit(LinkSpec("y", (Predictor("x", 2), Predictor("z"))), data)
+
+    def test_one_solve_per_scan(self, japan, monkeypatch):
+        # lags -5..-1 each end the sample a year earlier; every lag is still
+        # one slice of the one frame, the window's 31 response years
+        shapes = []
+        real = estimate._solve
+
+        def spy(estimator, Xy, n=None):
+            shapes.append(Xy.shape)
+            return real(estimator, Xy, n)
+
+        monkeypatch.setattr(estimate, "_solve", spy)
+        spec = LinkSpec("cpi", (Predictor("labor_force_growth"),), estimator="cumulative",
+                        window=(1982, 2012))
+        results, _ = scan_lag(spec, japan, range(-5, 6))
+        assert len(results) == 11
+        assert shapes == [(11, 31, 3)]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=ragged_scans())
+    def test_scores_equal_fits_on_ragged_spans(self, case):
+        spec, data, lags = case
+        try:
+            assert_scores_equal_fits(spec, data, lags)
+        except InputError as exc:  # only scan_lag's own refusal gets here
+            assert str(exc) == "no lag in the range yields a legal sample"
+            for lag in lags:
+                with pytest.raises((InputError, EstimationError)):
+                    fit(spec.with_lag("x", lag), data)
 
     def test_duplicate_and_reversed_lags_keep_their_order(self):
         data = ragged_data()
@@ -678,6 +731,55 @@ class TestLagScores:
         assert best == max(results, key=lambda item: getattr(item[1], criterion))[0]
 
 
+class TestFrame:
+    """A sample shorter than its frame, the response's years in the window,
+    fills the frame's first rows; the zero rows past it change nothing."""
+
+    @pytest.mark.parametrize("estimator", ["ols", "cumulative"])
+    @pytest.mark.parametrize("lag", [-4, 3])
+    @pytest.mark.parametrize("extra", [{}, {"break_year": 1995},
+                                       {"break_year": 1995, "shared": ("intercept",)}])
+    def test_short_sample_fits_as_a_full_frame(self, estimator, lag, extra):
+        data = ragged_data()
+        spec = LinkSpec("y", (Predictor("x", lag),), estimator=estimator, **extra)
+        short = fit(spec, data)
+        first, last = short.window
+        assert estimate._frame_rows(spec, data) > last - first + 1
+        # the response trimmed to the sample: a frame that the sample fills
+        full = fit(spec, {**data, "y": data["y"].window(first, last)})
+        assert short.window == full.window
+        for attr in ("sse_annual", "sse_cumulative", "r2_annual", "r2_cumulative", "sigma"):
+            assert getattr(short, attr) == pytest.approx(getattr(full, attr), rel=1e-10), attr
+        for table in ("coefficient_table", "stderr", "pvalues"):
+            got, want = getattr(short, table), getattr(full, table)
+            got, want = (got(), want()) if callable(got) else (got, want)
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12), table
+        np.testing.assert_allclose(short.residuals.array, full.residuals.array,
+                                   rtol=0, atol=1e-12)
+
+
+    def test_kernel_stacks_are_zero_past_each_sample(self, monkeypatch):
+        real = estimate.least_squares_stack
+        padded = []
+
+        def guarded(Xy, n=None):
+            if n is not None:
+                padded.append(n)
+                for slice_, rows in zip(Xy, np.broadcast_to(n, len(Xy))):
+                    assert not slice_[rows:].any(), "nonzero row past the sample"
+            return real(Xy, n)
+
+        monkeypatch.setattr(estimate, "least_squares_stack", guarded)
+        data = ragged_data()
+        for estimator in ("ols", "cumulative"):
+            for extra in ({}, {"break_year": 1995, "shared": ("intercept",)}):
+                spec = single_spec(estimator, **extra)
+                scan_lag(spec, data, range(-6, 7))
+                fit(spec.with_lag("x", -3), data)
+            scan_break(single_spec(estimator, lag=4), data, range(1985, 2006))
+        assert len(padded) == 10
+
+
 class TestDuplicatePredictors:
     @pytest.mark.parametrize("predictors, message", [
         ((("x", 0), ("x", 1)), "predictor 'x' is named more than once"),
@@ -727,9 +829,9 @@ class TestColumnMajorStacks:
         real = diagnose.least_squares_stack
         seen = []
 
-        def guarded(Xy):
+        def guarded(Xy, n=None):
             seen.append(all(slice_.flags.f_contiguous for slice_ in Xy))
-            return real(Xy)
+            return real(Xy, n)
 
         monkeypatch.setattr(estimate, "least_squares_stack", guarded)
         monkeypatch.setattr(diagnose, "least_squares_stack", guarded)
