@@ -12,21 +12,22 @@ Two estimators share one design builder and one stacked solve:
 A structural break splits the window into two segments estimated in a single
 solve; any coefficient (including the intercept) can be declared shared
 across segments, which is how the printed piecewise models with a common
-intercept or slope arise. A fit is the scan of one: fits and both scans take
-the solution and the annual and cumulative curves of a design stack from
-``_stack_curves``, the one caller of ``_solve`` and so of the kernel. A fit
-reads everything off its stack of one. Scans keep only what they rank: a
-break-year scan each objective SSE, and a lag scan each lag's SSEs and R^2
-(``LagScore``).
+intercept or slope arise.
 
-Every sample of a spec lives in one frame: the response's years inside the
-window, F rows whatever the lags or the break year. A sample of n <= F years
-fills the frame's first n rows; the rows past it are zero in the design, the
-response and both cumulative curves, and the solve and the scores read each
-slice's n, so nothing past it counts. A lag scan solves all its lags as slices
-of one frame, a break scan all its candidates, and a fit is the frame of one,
-so a scan's slice and the fit at that lag or break year are the same array.
-When every sample fills the frame, nothing is masked.
+A candidate is (predictor shifts, break year) on the spec's frame: a fit is
+one candidate, a lag scan varies one predictor's shift and a break scan the
+break year. One builder, ``_candidates``, checks every candidate as ``fit``
+does, aligning each distinct shift tuple once. One scorer, ``_score``, solves
+the legal ones as slices of stacked passes through ``_stack_curves``, the one
+caller of ``_solve`` and so of the kernel. Each caller keeps what it ranks: a
+fit everything off its stack of one, a lag scan each lag's SSEs and R^2
+(``LagScore``), a break scan each objective SSE.
+
+The frame is the response's years inside the window, F rows whatever the
+lags or the break year. A sample of n <= F years fills its first n rows; the
+rows past it are zero in the design, the response and both cumulative
+curves, and the solve and the scores read each slice's n, so a scan's slice
+and the fit of that candidate are the same array.
 
 Design stacks are column-major in every slice: ``_design`` fills an
 (m, k+1, F) buffer one row per column and hands out its transposed view, and
@@ -254,36 +255,6 @@ def _frame_rows(spec: LinkSpec, data: Mapping[str, AnnualSeries]) -> int:
     return last - first + 1
 
 
-def _row_counts(lengths: Sequence[int], rows: int) -> np.ndarray | None:
-    """Sample lengths, one per slice, as the solve reads them: None when every
-    sample fills its frame of ``rows`` rows, so that nothing is masked."""
-    return None if min(lengths) == rows else np.array(lengths)
-
-
-def _sample(spec: LinkSpec, data: Mapping[str, AnnualSeries], labels,
-            lags: Sequence[int] | None = None):
-    """``_aligned_sample`` after the checks no break year changes, for a
-    solve of the coefficients ``labels``, in the spec's frame.
-
-    Returns the response vector, each predictor's column and the years, each
-    over the frame's F rows, and the sample's length n. The sample fills the
-    first n rows; past them the values are zero and the years run on.
-    A predictor that is exactly constant on the window raises EstimationError;
-    every other problem raises InputError.
-    """
-    yv, cols, years = _aligned_sample(spec, data, lags)
-    for name, col in cols.items():
-        if np.ptp(col) == 0.0:
-            raise EstimationError(f"predictor {name!r} has zero variance on the window")
-    n, rows = len(years), _frame_rows(spec, data)
-    if n < len(labels) + 2:
-        raise InputError(f"sample of {n} too small for {len(labels)} coefficients")
-    if n < rows:
-        yv, *xs = (np.concatenate([v, np.zeros(rows - n)]) for v in (yv, *cols.values()))
-        cols, years = dict(zip(cols, xs)), np.arange(years[0], years[0] + rows)
-    return yv, cols, years, n
-
-
 def _check_shared(spec: LinkSpec) -> None:
     """Refuse ``shared`` without a break year in a fit or lag scan, which would ignore it."""
     if spec.shared and spec.break_year is None:
@@ -291,26 +262,52 @@ def _check_shared(spec: LinkSpec) -> None:
                          "without a break there is nothing to share")
 
 
-def _fit_sample(spec: LinkSpec, data: Mapping[str, AnnualSeries], labels,
-                lags: Sequence[int] | None = None):
-    """``_sample`` for a fit of ``spec``, its break year checked too."""
-    yv, cols, years, n = _sample(spec, data, labels, lags)
-    if spec.break_year is not None:
-        problem = _break_error(spec.break_year, years[:n], labels)
-        if problem is not None:
-            raise InputError(problem)
-    return yv, cols, years, n
+def _candidates(spec: LinkSpec, data: Mapping[str, AnnualSeries], labels,
+                shifts: Sequence[tuple[int, ...]], break_years: Sequence[int | None],
+                drop_sample_errors: bool = False):
+    """The builder: every distinct candidate (predictor shifts, break year;
+    None is no break) of the grid ``shifts`` x ``break_years``, checked as
+    ``fit`` checks it for a solve of ``labels``. Each shift tuple is aligned
+    and checked once, and its candidates share its sample: the response, each
+    predictor's column and the years over the frame's F rows, and the length
+    n of the sample, which fills the first n rows (zero values past them).
 
-
-def _break_error(year: int, years: np.ndarray, labels) -> str | None:
-    """Why ``year`` cannot split the window, or None when it can."""
-    first, last = int(years[0]), int(years[-1])
-    if not (first < year <= last):
-        return f"break year {year} not inside window {first}..{last}"
-    # segment-size floor applies only when some coefficient actually varies
-    if any(tag is not None for _, _, tag in labels) and min(year - first, last - year + 1) < 5:
-        return "each break segment needs at least 5 observations"
-    return None
+    Returns ``(legal, dropped)``: the legal (candidate, sample) pairs in grid
+    order, and the exception ``fit`` raises for every other candidate. A
+    shift tuple's sample error is raised unless ``drop_sample_errors``.
+    Rank deficiency is the solve's to find."""
+    legal, dropped, break_years = [], {}, list(dict.fromkeys(break_years))
+    floor = 5 if any(tag is not None for _, _, tag in labels) else 0
+    for lags in dict.fromkeys(shifts):
+        try:
+            yv, cols, years = _aligned_sample(spec, data, lags)
+            for name, col in cols.items():
+                if np.ptp(col) == 0.0:
+                    raise EstimationError(f"predictor {name!r} has zero variance on the window")
+            n, rows = len(years), _frame_rows(spec, data)
+            if n < len(labels) + 2:
+                raise InputError(f"sample of {n} too small for {len(labels)} coefficients")
+        except (InputError, EstimationError) as exc:
+            if not drop_sample_errors:
+                raise
+            exc = exc.with_traceback(None)  # no reference cycle through this frame
+            dropped.update(((lags, year), exc) for year in break_years)
+            continue
+        first, last = int(years[0]), int(years[-1])
+        if n < rows:
+            yv, *xs = (np.concatenate([v, np.zeros(rows - n)]) for v in (yv, *cols.values()))
+            cols, years = dict(zip(cols, xs)), np.arange(first, first + rows)
+        sample = yv, cols, years, n
+        for year in break_years:
+            if year is not None and not first < year <= last:
+                dropped[lags, year] = InputError(
+                    f"break year {year} not inside window {first}..{last}")
+            # the segment floor applies only when some coefficient varies
+            elif year is not None and min(year - first, last - year + 1) < floor:
+                dropped[lags, year] = InputError("each break segment needs at least 5 observations")
+            else:
+                legal.append(((lags, year), sample))
+    return legal, dropped
 
 
 def _design(labels, cols: Mapping[str, np.ndarray], years: np.ndarray,
@@ -320,7 +317,7 @@ def _design(labels, cols: Mapping[str, np.ndarray], years: np.ndarray,
     the (m, F, k+1) stack ``[X | y]`` of the solve when given a response ``yv``.
     ``years``, ``yv`` and each column are (F,) or (1, F) when every slice
     shares them, or (m, F) with one row per slice. ``n`` counts each slice's
-    sample rows as ``_row_counts`` gives them: the columns and ``yv`` are zero
+    sample rows as ``_score`` gives them: the columns and ``yv`` are zero
     past them, and so is the intercept.
 
     The stack is the transposed view of an (m, k or k+1, F) buffer filled
@@ -396,13 +393,15 @@ def _segments_from_coefficients(spec, labels, beta, first, last):
 
 
 def _fit(spec: LinkSpec, data: Mapping[str, AnnualSeries]) -> FitResult:
-    """One fit: the stack of one through the scan's design, solve and curves."""
+    """One fit: the candidate of the spec's own lags and break year, a stack of one."""
     _check_shared(spec)
     labels = _param_labels(spec, spec.break_year is not None)
-    yv, cols, years, length = _fit_sample(spec, data, labels)
-    n = _row_counts([length], len(yv))
-    Xy = _design(labels, cols, years, [spec.break_year], yv, n)
-    solution, annual, cumulative = _stack_curves(spec.estimator, Xy, yv, n)
+    legal, dropped = _candidates(spec, data, labels, [tuple(p.lag for p in spec.predictors)],
+                                 [spec.break_year])
+    if dropped:
+        raise dropped.popitem()[1]
+    ((_, (yv, _, years, length)),) = legal
+    ((_, (solution, annual, cumulative), n),) = _score(spec, labels, legal)
     (beta,), (rss,), (r_inv,), (full_rank,) = solution
     if not full_rank:
         raise EstimationError("degenerate design: zero-variance or collinear predictors")
@@ -481,12 +480,10 @@ def scan_lag(
 ) -> tuple[list[tuple[int, LagScore]], int]:
     """Exhaustive scan over integer lags of one predictor, scores only.
 
-    Each lag's sample is aligned and checked as ``fit`` checks it, from the
-    one spec with that lag's shift. A lag moves the common window unless
-    ``window`` pins it, but every legal lag's sample fits in the spec's one
-    frame, and all of them are solved as slices of it, in stacked passes of
-    at most ``_STACK_ENTRIES`` design entries each. Lags with an illegal
-    sample or a rank-deficient design are dropped. Every kept lag gets a
+    Each lag is a candidate that shifts the scanned predictor: a lag moves
+    the common window unless ``window`` pins it, but every sample fits in
+    the spec's frame. Lags ``fit`` would refuse, an illegal sample or a
+    rank-deficient design, are dropped. Every kept lag gets a
     ``LagScore`` equal to the matching numbers of ``fit`` at that lag; no
     coefficient, standard error or p-value is computed. Results are in
     candidate order, duplicates included.
@@ -505,38 +502,21 @@ def scan_lag(
     _check_shared(spec)
     lags = [json_int("lag", lag) for lag in lag_range]
     labels = _param_labels(spec, spec.break_year is not None)
-    shifts, scanned = [p.lag for p in spec.predictors], names.index(name)
-    members = []
-    for lag in dict.fromkeys(lags):
-        shifts[scanned] = lag
-        try:
-            members.append((lag, *_fit_sample(spec, data, labels, shifts)))
-        except (InputError, EstimationError):
-            continue
+    scanned = names.index(name)
+    shifts = [tuple(lag if i == scanned else p.lag for i, p in enumerate(spec.predictors))
+              for lag in lags]
+    legal, _ = _candidates(spec, data, labels, shifts, [spec.break_year], drop_sample_errors=True)
     scores: dict[int, LagScore] = {}
-    if members:  # every sample spans the frame's F rows
-        for chunk in _passes(members, len(members[0][1]), len(labels)):
-            scores.update(_lag_scores(spec, labels, chunk))
+    for candidates, ((_, _, _, full_rank), annual, cumulative), n in _score(spec, labels, legal):
+        rows = zip(*_scores(annual, cumulative, n))
+        scores.update((shift[scanned], LagScore(spec.estimator, *map(float, row)))
+                      for (shift, _), row, ok in zip(candidates, rows, full_rank) if ok)
     results = [(lag, scores[lag]) for lag in lags if lag in scores]
     if not results:
         raise InputError("no lag in the range yields a legal sample")
     best = max(results, key=lambda item: (_rank_value(getattr(item[1], criterion)),
                                           -abs(item[0]), -item[0]))
     return results, best[0]
-
-
-def _lag_scores(spec, labels, members) -> dict[int, LagScore]:
-    """LagScore of every full-rank lag, each lag's sample one slice of the
-    spec's frame, in one stacked solve."""
-    lags, yvs, cols, years, lengths = zip(*members)
-    yv = np.stack(yvs)
-    n = _row_counts(lengths, yv.shape[-1])
-    Xy = _design(labels, {p.name: np.stack([c[p.name] for c in cols]) for p in spec.predictors},
-                 np.stack(years), [spec.break_year] * len(lags), yv, n)
-    (_, _, _, full_rank), annual, cumulative = _stack_curves(spec.estimator, Xy, yv, n)
-    rows = zip(*_scores(annual, cumulative, n))
-    return {lag: LagScore(spec.estimator, *map(float, row))
-            for lag, row, ok in zip(lags, rows, full_rank) if ok}
 
 
 def _scores(annual, cumulative, n):
@@ -558,45 +538,57 @@ def scan_break(
 ) -> tuple[list[tuple[int, float]], int]:
     """Exhaustive piecewise fit over candidate break years, SSE only.
 
-    The sample is aligned once and the legal candidates are solved together
-    in stacked passes of at most ``_STACK_ENTRIES`` design entries each;
-    candidates outside the window, under the segment floor or with a
-    rank-deficient design are dropped. Best year minimizes the
-    estimator's total SSE; ties go to the earliest year. Results are in
-    candidate order regardless of evaluation order.
+    Each year is a candidate on the spec's one sample, aligned once; an
+    error of that sample is the scan's. Years ``fit`` would refuse, outside
+    the window, under the segment floor or with a rank-deficient design, are
+    dropped. Every year must be an integer, and each distinct one is solved
+    once. Best year minimizes the estimator's total SSE; ties go to the
+    earliest year. Results are in candidate order, duplicates included.
     """
     if spec.break_year is not None:
         raise InputError(f'"break_year" {spec.break_year} is what scan_break chooses; drop it')
+    years = [json_int("break_year", year) for year in candidate_years]
     labels = _param_labels(spec, True)
-    try:
-        yv, cols, years, length = _sample(spec, data, labels)
-    except EstimationError as exc:  # a constant predictor fails every candidate
+    try:  # a constant predictor fails every candidate
+        legal, _ = _candidates(spec, data, labels, [tuple(p.lag for p in spec.predictors)], years)
+    except EstimationError as exc:
         raise InputError(str(exc)) from exc
-    legal = [year for year in candidate_years
-             if _break_error(year, years[:length], labels) is None]
-    n = _row_counts([length], len(yv))  # one sample, shared by every slice
-    profile: list[tuple[int, float]] = []
-    for chunk in _passes(legal, len(yv), len(labels)):
-        profile += _break_sse(spec.estimator, labels, cols, years, yv, n, chunk)
+    sse: dict[int, float] = {}
+    for candidates, ((_, _, _, full_rank), annual, cumulative), _ in _score(spec, labels, legal):
+        objective = _sse(*(cumulative if spec.estimator == "cumulative" else annual))
+        sse.update((year, float(e)) for (_, year), e, ok in zip(candidates, objective, full_rank)
+                   if ok)
+    profile = [(year, sse[year]) for year in years if year in sse]
     if not profile:
         raise InputError("no candidate break year yields a legal piecewise fit")
     best = min(profile, key=lambda item: (item[1], item[0]))
     return profile, best[0]
 
 
-def _break_sse(estimator, labels, cols, years, yv, n, break_years) -> list[tuple[int, float]]:
-    """(year, objective SSE) of every full-rank candidate, in one stacked solve."""
-    Xy = _design(labels, cols, years, break_years, yv, n)
-    (_, _, _, full_rank), annual, cumulative = _stack_curves(estimator, Xy, yv, n)
-    sse = _sse(*(cumulative if estimator == "cumulative" else annual))
-    return [(year, float(e)) for year, e, ok in zip(break_years, sse, full_rank) if ok]
+def _score(spec: LinkSpec, labels, legal):
+    """The scorer: the builder's legal candidates as slices of the spec's
+    frame, in stacked passes of at most ``_STACK_ENTRIES`` design entries.
+    Yields each pass's candidates, its ``_stack_curves`` output and its
+    sample lengths n (None when every sample fills the frame: nothing is
+    masked). A sample that every slice of a pass shares is broadcast, not
+    copied. Each caller keeps only what it ranks."""
+    rows = len(legal[0][1][0]) if legal else 1
+    step = max(1, _STACK_ENTRIES // (rows * len(labels)))  # candidates per pass
+    for i in range(0, len(legal), step):
+        candidates, samples = zip(*legal[i:i + step])
+        if all(sample is samples[0] for sample in samples):
+            samples = samples[:1]
+        yvs, cols, years, lengths = zip(*samples)
+        yv, years = _stacked(yvs), _stacked(years)
+        cols = {p.name: _stacked([c[p.name] for c in cols]) for p in spec.predictors}
+        n = None if min(lengths) == rows else np.array(lengths)
+        Xy = _design(labels, cols, years, [year for _, year in candidates], yv, n)
+        yield candidates, _stack_curves(spec.estimator, Xy, yv, n), n
 
 
-def _passes(candidates: list, rows: int, k: int) -> list[list]:
-    """``candidates`` in consecutive chunks of at most ``_STACK_ENTRIES``
-    design entries, at rows x k entries per candidate."""
-    step = max(1, _STACK_ENTRIES // (rows * k))
-    return [candidates[i:i + step] for i in range(0, len(candidates), step)]
+def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """One array as it is, which broadcasts to every slice; more, one row per slice."""
+    return arrays[0] if len(arrays) == 1 else np.stack(arrays)
 
 
 def _stack_curves(estimator, Xy, yv, n=None):

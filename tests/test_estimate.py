@@ -1,4 +1,6 @@
+import ast
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -352,6 +354,86 @@ class TestScanBreak:
         assert best_rev == best_fwd
         assert [year for year, _ in backward] == list(range(2009, 1989, -1))
         assert dict(backward) == pytest.approx(dict(forward), rel=1e-12)
+
+    def test_duplicate_years_are_solved_once_and_keep_their_order(self, monkeypatch):
+        x, y = generate(SynthSpec(intercept=0.02, slope=-1.5, break_year=1998,
+                                  post_intercept=0.02, post_slope=-0.1,
+                                  noise_sigma=0.001, length=40, seed=29))
+        data = {"x": x, "y": y}
+        spec = LinkSpec("y", (Predictor("x"),), estimator="cumulative")
+        slices = []
+        real = estimate._solve
+
+        def spy(estimator, Xy, n=None):
+            slices.append(len(Xy))
+            return real(estimator, Xy, n)
+
+        monkeypatch.setattr(estimate, "_solve", spy)
+        forward, _ = scan_break(spec, data, range(1990, 2000))
+        years = [1995, 1990, 1995, 1850, 1990]
+        repeated, best = scan_break(spec, data, years)
+        assert repeated == [(year, dict(forward)[year]) for year in (1995, 1990, 1995, 1990)]
+        assert best == min((1990, 1995), key=lambda year: (dict(forward)[year], year))
+        assert slices == [10, 2]
+
+    @pytest.mark.parametrize("year", [1990.5, "1990", [1990], None])
+    def test_non_integral_year_is_refused(self, year):
+        x, y = generate(SynthSpec(intercept=0.0, slope=1.0, length=40, seed=1))
+        with pytest.raises(InputError, match="^break_year must be an integer"):
+            scan_break(LinkSpec("y", (Predictor("x"),)), {"x": x, "y": y}, [1995, year])
+
+    def test_integral_float_year_is_reported_as_an_int(self):
+        x, y = generate(SynthSpec(intercept=0.0, slope=1.0, noise_sigma=0.002,
+                                  length=40, seed=1))
+        spec = LinkSpec("y", (Predictor("x"),))
+        profile, best = scan_break(spec, {"x": x, "y": y}, [1990.0, 1995])
+        assert [(year, type(year)) for year, _ in profile] == [(1990, int), (1995, int)]
+        assert profile == scan_break(spec, {"x": x, "y": y}, [1990, 1995])[0]
+        assert type(best) is int
+
+    def test_dropped_breaks_are_those_fit_refuses(self):
+        # the window is 1980..2019; the candidates run past both of its ends
+        # and through both segment-floor edges (1985 and 2015 are the last
+        # legal years). x is constant until 1989, so an unshared x[pre] is a
+        # multiple of intercept[pre] for every break up to 1990. The
+        # cumulative estimator's rank test does not see that collinearity
+        # through the cumulated design (its fits there succeed, with
+        # coefficients near 1e11), so it keeps those years as fit does
+        x = series([0.02] * 10 + list(np.linspace(-0.01, 0.03, 30)))
+        noise = np.random.default_rng(5).normal(0.0, 0.001, 40)
+        y = series(0.01 - 0.5 * np.asarray(x.values) + noise)
+        data = {"x": x, "y": y}
+        candidates = range(1977, 2023)
+        for spec, first_kept in (
+            (LinkSpec("y", (Predictor("x"),)), 1991),
+            (LinkSpec("y", (Predictor("x"),), estimator="cumulative"), 1985),
+            (LinkSpec("y", (Predictor("x"),), shared=("intercept",)), 1985),
+        ):
+            profile, _ = scan_break(spec, data, candidates)
+            sse = dict(profile)
+            for year in candidates:
+                try:
+                    direct = fit(replace(spec, break_year=year), data)
+                except (InputError, EstimationError):
+                    assert year not in sse, f"{year} kept although fit raises"
+                    continue
+                assert sse[year] == direct.objective_sse, year
+            assert list(sse) == list(range(first_kept, 2016))
+
+    def test_one_solve_per_break_scan(self, japan, monkeypatch):
+        # every candidate is one slice of the one frame, cpi's 42 years
+        shapes = []
+        real = estimate._solve
+
+        def spy(estimator, Xy, n=None):
+            shapes.append(Xy.shape)
+            return real(estimator, Xy, n)
+
+        monkeypatch.setattr(estimate, "_solve", spy)
+        profile, _ = scan_break(LinkSpec("cpi", (Predictor("unemployment"),)), japan,
+                                range(1975, 1995))
+        assert len(profile) == 19
+        assert shapes == [(19, 42, 5)]
 
 
 class TestPredict:
@@ -872,3 +954,39 @@ class TestNoQFormingSolve:
                 assert shape[-2] >= 20
             else:
                 assert mode == "complete" and shape[-1] == 1 and shape[-2] <= 4, (shape, mode)
+
+
+class TestOneCandidatePath:
+    """A fit, a lag scan and a break scan reach the solve only through the one
+    candidate builder and the one scorer, so no scan grows a path of its own."""
+
+    @staticmethod
+    def users() -> dict[str, set[str]]:
+        """Every name read in ``estimate.py``, mapped to the top-level
+        functions (or class methods) that read it."""
+        tree = ast.parse(Path(estimate.__file__).read_text(encoding="utf-8"))
+        top = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        top += [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+                for node in cls.body if isinstance(node, ast.FunctionDef)]
+        users: dict[str, set[str]] = {}
+        for function in top:
+            for node in ast.walk(function):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    users.setdefault(node.id, set()).add(function.name)
+        return users
+
+    @pytest.mark.parametrize("name, owner", [
+        ("_solve", "_stack_curves"),
+        ("_stack_curves", "_score"),
+        ("_aligned_sample", "_candidates"),
+        ("_sample", "_candidates"),
+    ])
+    def test_reached_only_from_its_owner(self, name, owner):
+        assert self.users().get(name, set()) <= {owner}
+
+    def test_fits_and_scans_use_the_builder_and_the_scorer(self):
+        users = self.users()
+        assert users["_candidates"] == users["_score"] == {"_fit", "scan_lag", "scan_break"}
+        assert users["_solve"] == {"_stack_curves"}
+        retired = {"_fit_sample", "_break_error", "_lag_scores", "_break_sse", "_passes"}
+        assert not retired & set(vars(estimate))
