@@ -33,11 +33,11 @@ from .forecast import (
 )
 from .ingest import (
     RemoteDescriptor,
-    fetch_remote,
     load_manifest,
     load_series,
     participation_labor_force,
     read_csv_series,
+    read_entry,
 )
 
 __version__ = "0.1.0"

@@ -70,16 +70,16 @@ def _clip(candidates: range, first: int, last: int) -> range:
     return range(max(candidates.start, first), min(candidates.stop, last + 1))
 
 
-def _manifest(args) -> tuple[dict[str, ingest.ManifestEntry], Path | None]:
+def _manifest(args) -> dict[str, ingest.ManifestEntry]:
     if not args.manifest:
         raise UsageError("--manifest is required for this command")
-    return ingest.load_manifest(args.manifest), Path(args.cache_dir) if args.cache_dir else None
+    return ingest.load_manifest(args.manifest, cache=args.cache_dir)
 
 
 def _spec_and_data(args) -> tuple[estimate.LinkSpec, dict[str, AnnualSeries]]:
     """The spec of --spec or the inline flags, and the series that it names;
     the whole manifest is checked first."""
-    manifest, cache = _manifest(args)
+    manifest = _manifest(args)
     if args.spec:
         spec = estimate.LinkSpec.from_dict(ingest.read_json(args.spec, "spec"))
     else:
@@ -103,7 +103,7 @@ def _spec_and_data(args) -> tuple[estimate.LinkSpec, dict[str, AnnualSeries]]:
     if args.window:
         spec = replace(spec, window=_parse_window(args.window))
     names = [spec.response, *(p.name for p in spec.predictors)]
-    return spec, ingest.load_all(ingest.entries_for(manifest, names), cache=cache)
+    return spec, ingest.load_all(ingest.entries_for(manifest, names))
 
 
 def _out_dir(args) -> Path:
@@ -233,8 +233,7 @@ def cmd_plot(args) -> int:
         raise InputError("scatter mode needs exactly two series (x then y)")
     if args.regression and args.mode != "scatter":
         raise UsageError("--regression needs --mode scatter")
-    manifest, cache = _manifest(args)
-    data = ingest.load_all(ingest.entries_for(manifest, names), cache=cache)
+    data = ingest.load_all(ingest.entries_for(_manifest(args), names))
     missing = [n for n in names if n not in data]
     if missing:
         raise InputError(f"series not in manifest: {missing}")
@@ -267,19 +266,17 @@ def cmd_plot(args) -> int:
 
 
 def cmd_fetch(args) -> int:
-    manifest, cache = _manifest(args)
+    manifest = _manifest(args)
     names = [n.strip() for n in args.series.split(",")] if args.series else sorted(manifest)
-    fetched = 0
+    # every name is checked before any is fetched
     for name in names:
-        entry = manifest.get(name)
-        if entry is None:
+        if name not in manifest:
             raise InputError(f"series {name!r} not in manifest")
-        if entry.remote is None:
-            continue
-        ingest.fetch_remote(entry.remote, entry.kind, entry.units, label=name,
-                            cache=cache, timeout=args.timeout, force=args.force)
-        fetched += 1
-    print(f"fetched {fetched} remote series")
+    remote = [name for name in names if manifest[name].remote is not None]
+    for name in remote:
+        ingest.read_entry(f"series {name!r}", manifest[name], label=name,
+                          timeout=args.timeout, force=args.force)
+    print(f"fetched {len(remote)} remote series")
     return 0
 
 

@@ -236,18 +236,15 @@ def load_scenario(path) -> Scenario:
     if not (isinstance(horizon, list) and len(horizon) == 2):
         raise InputError(f"scenario 'horizon' must be two years, got {horizon!r}")
     horizon = tuple(ingest.json_int("scenario 'horizon' year", year) for year in horizon)
-    units = doc.get("units", "persons")
-    if source == "labor_force_csv":
-        csv = ingest.json_path(f"scenario {source!r}", doc[source], p)
-        lf = ingest.read_csv_file(f"scenario {source!r}", csv, "labor-force", units,
-                                  label="labor force")
-        return build_scenario(labor_force=lf, horizon=horizon)
-    if source == "population_csv":
-        csv = ingest.json_path(f"scenario {source!r}", doc[source], p)
-        pop = ingest.read_csv_file(f"scenario {source!r}", csv, "population", units,
-                                   label="population")
-        rate = ingest.json_float("scenario 'participation'", doc["participation"])
-        lf = ingest.participation_labor_force(pop, rate)
+    if source != "linear":
+        what = f"scenario {source!r}"
+        kind = "labor-force" if source == "labor_force_csv" else "population"
+        entry = ingest.ManifestEntry(kind, doc.get("units", "persons"),
+                                     path=ingest.json_path(what, doc[source], p))
+        lf = ingest.read_entry(what, entry, label=kind.replace("-", " "))
+        if source == "population_csv":
+            rate = ingest.json_float("scenario 'participation'", doc["participation"])
+            lf = ingest.participation_labor_force(lf, rate)
         return build_scenario(labor_force=lf, horizon=horizon)
     keys = ("start_year", "end_year", "start", "end")
     lin = ingest.json_object("scenario", doc["linear"], keys, keys, "linear.")

@@ -3,9 +3,16 @@
 Series CSV is a two-column file with header ``year,value`` and strictly
 consecutive years. A manifest is a JSON file mapping series names to a local
 path or remote descriptor plus a kind and units declaration; units are never
-sniffed from the data. A command reads only the entries that ``entries_for``
-picks. Remote fetches are cache-first: the raw payload is cached verbatim on
-first fetch and all later loads are offline.
+sniffed from the data. ``load_manifest`` resolves every file an entry names,
+a remote entry's cache file included, so no later call takes a cache
+directory. A command reads only the entries that ``entries_for`` picks.
+
+``read_entry`` is the one reader of a series, whether a manifest entry, a
+scenario CSV or a ``fetch``: it alone calls ``read_csv_series`` and
+``fetch_payload``, and every failure it raises names what was being read.
+Remote fetches are cache-first: the raw payload is cached verbatim on first
+fetch and all later loads are offline. A forced refetch that fails raises and
+leaves the cache file as it was.
 
 Other modules read and write files only through this one: ``read_json``,
 ``json_object`` and the ``json_int``/``json_float``/``json_str`` field checks
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InputError, ParseError, RetrievalError
-from .series import AnnualSeries
+from .series import AnnualSeries, log_growth
 
 CACHE_DIR_ENV = "LFPHILLIPS_CACHE_DIR"
 DEFAULT_CACHE_DIR = Path.home() / ".cache" / "lfphillips"
@@ -111,24 +118,18 @@ class RemoteDescriptor:
     """Location of a series on an agency-style HTTP endpoint.
 
     The payload at ``{base_url}/{dataset}/{key}.csv`` must be the same
-    ``year,value`` CSV used on disk. ``cache_path`` overrides the derived
-    cache location when set; ``load_manifest`` resolves a relative one
-    against the manifest's directory, as it resolves ``path``.
+    ``year,value`` CSV used on disk. ``cache_path`` is the file that holds
+    the cached payload; ``load_manifest`` resolves it.
     """
 
     base_url: str
     dataset: str
     key: str
-    cache_path: Path | None = None
+    cache_path: Path
 
     @property
     def url(self) -> str:
         return f"{self.base_url.rstrip('/')}/{self.dataset}/{self.key}.csv"
-
-    def cache_file(self, cache_dir: Path) -> Path:
-        if self.cache_path is not None:
-            return self.cache_path
-        return cache_dir / f"{self.dataset}__{self.key}.csv"
 
 
 @dataclass(frozen=True)
@@ -184,34 +185,40 @@ def cache_dir() -> Path:
     return Path(override) if override else DEFAULT_CACHE_DIR
 
 
-def fetch_remote(
-    desc: RemoteDescriptor,
-    kind: str,
-    units: str,
-    label: str = "",
-    cache: Path | None = None,
-    timeout: float = 30.0,
-    force: bool = False,
-) -> AnnualSeries:
-    """Load a remote series, hitting the network only on a cold cache.
+def read_entry(what: str, entry: ManifestEntry, label: str = "", timeout: float = 30.0,
+               force: bool = False) -> AnnualSeries:
+    """The series of ``entry`` in internal units, labelled ``label``.
 
-    The raw payload is cached verbatim so repeat loads are reproducible and
-    offline-safe. ``force=True`` refreshes the cache from the network.
+    A path entry whose file cannot be read or parsed raises InputError
+    ``"<what> (<path>): <reason>"``. A remote entry is read through
+    ``fetch_payload``, which fetches only on a cold cache or with ``force``;
+    a failed fetch raises RetrievalError ``"<what>: ..."`` and a payload that
+    does not parse ParseError ``"<what>: malformed payload from <url>: ..."``.
     """
-    payload = fetch_payload(desc, cache=cache, timeout=timeout, force=force)
+    if entry.remote is None:
+        try:
+            return read_csv_series(entry.path, entry.kind, entry.units, label=label)
+        except (OSError, ValueError, InputError) as exc:
+            reason = getattr(exc, "strerror", None) or exc  # an OSError's str() repeats the path
+            raise InputError(f"{what} ({entry.path}): {reason}") from exc
     try:
-        return read_csv_series(payload, kind, units, label=label)
+        payload = fetch_payload(entry.remote, timeout=timeout, force=force)
+    except RetrievalError as exc:
+        raise RetrievalError(f"{what}: {exc}") from exc
+    try:
+        return read_csv_series(payload, entry.kind, entry.units, label=label)
     except InputError as exc:
-        raise ParseError(f"malformed payload from {desc.url}: {exc}") from exc
+        raise ParseError(f"{what}: malformed payload from {entry.remote.url}: {exc}") from exc
 
 
-def fetch_payload(
-    desc: RemoteDescriptor,
-    cache: Path | None = None,
-    timeout: float = 30.0,
-    force: bool = False,
-) -> str:
-    target = desc.cache_file(cache if cache is not None else cache_dir())
+def fetch_payload(desc: RemoteDescriptor, timeout: float = 30.0, force: bool = False) -> str:
+    """The payload of ``desc``: its cache file's text on a warm cache, else
+    the text fetched from its URL, which then replaces the cache file.
+
+    ``force`` fetches even on a warm cache. A failed fetch raises
+    RetrievalError and leaves the cache file as it was.
+    """
+    target = desc.cache_path
     if target.exists() and not force:
         return target.read_text(encoding="utf-8")
     # the HTTP stack costs ~45 ms to import; only a cold fetch pays for it
@@ -222,9 +229,8 @@ def fetch_payload(
         with urllib.request.urlopen(desc.url, timeout=timeout) as resp:
             payload = resp.read().decode("utf-8")
     except (urllib.error.URLError, OSError) as exc:
-        if target.exists():
-            return target.read_text(encoding="utf-8")
-        raise RetrievalError(f"fetch of {desc.url} failed and no cache present: {exc}") from exc
+        cached = "the cache file is kept as it was" if target.exists() else "no cache present"
+        raise RetrievalError(f"fetch of {desc.url} failed and {cached}: {exc}") from exc
     target.parent.mkdir(parents=True, exist_ok=True)
     # concurrent fetchers of one key converge on a whole payload
     write_atomic(target, payload)
@@ -261,14 +267,20 @@ _ENTRY_KEYS = ("path", "remote", "kind", "units")
 _REMOTE_KEYS = ("base_url", "dataset", "key", "cache")
 
 
-def load_manifest(path) -> dict[str, ManifestEntry]:
+def load_manifest(path, cache=None) -> dict[str, ManifestEntry]:
     """The entries of a manifest JSON file by name, each path resolved against it.
+
+    A remote entry's cache file is its descriptor's ``cache``, resolved
+    against the manifest's directory; without one it is
+    ``{dataset}__{key}.csv`` in the directory ``cache`` if given, else in
+    ``cache_dir()``.
 
     An unknown key, a field of the wrong type, an entry without exactly one
     of ``path`` or ``remote``, or a series that a derived ``<name>_growth``
     would shadow raises InputError naming the series and the field.
     """
     p = Path(path)
+    default_cache = Path(cache) if cache else cache_dir()
     doc = json_object(f"manifest {p}", read_json(p, "manifest"), ("series",))
     if not isinstance(doc.get("series"), dict) or not doc["series"]:
         raise InputError(f"manifest {p} has no 'series' table")
@@ -293,8 +305,11 @@ def load_manifest(path) -> dict[str, ManifestEntry]:
         remote = json_object(what, raw["remote"], _REMOTE_KEYS, _REMOTE_KEYS[:3], "remote.")
         r = {key: json_str(f"{what} 'remote.{key}'", v) for key, v in remote.items()}
         # an empty "cache" leaves the derived location, as an absent one does
-        cache = json_path(f"{what} 'remote.cache'", r["cache"], p) if r.get("cache") else None
-        desc = RemoteDescriptor(r["base_url"], r["dataset"], r["key"], cache_path=cache)
+        if r.get("cache"):
+            cache_path = json_path(f"{what} 'remote.cache'", r["cache"], p)
+        else:
+            cache_path = default_cache / f"{r['dataset']}__{r['key']}.csv"
+        desc = RemoteDescriptor(r["base_url"], r["dataset"], r["key"], cache_path)
         entries[name] = ManifestEntry(kind, units, remote=desc)
     return entries
 
@@ -305,39 +320,18 @@ def entries_for(manifest: dict[str, ManifestEntry], names) -> dict[str, Manifest
             if name in names or (entry.kind == "labor-force" and f"{name}_growth" in names)}
 
 
-def load_series(manifest: dict[str, ManifestEntry], name: str,
-                cache: Path | None = None) -> AnnualSeries:
+def load_series(manifest: dict[str, ManifestEntry], name: str) -> AnnualSeries:
     """The series ``name``; a failure to read or parse it names the series."""
     entry = manifest.get(name)
     if entry is None:
         raise InputError(f"series {name!r} not in manifest (have {sorted(manifest)})")
-    if entry.remote is not None:
-        try:
-            return fetch_remote(entry.remote, entry.kind, entry.units, label=name, cache=cache)
-        except (ParseError, RetrievalError) as exc:
-            raise type(exc)(f"series {name!r}: {exc}") from exc
-    return read_csv_file(f"series {name!r}", entry.path, entry.kind, entry.units, label=name)
+    return read_entry(f"series {name!r}", entry, label=name)
 
 
-def read_csv_file(what: str, path: Path, kind: str, units: str, label: str = "") -> AnnualSeries:
-    """``read_csv_series`` of the file at ``path``; a failure to read or
-    parse it raises InputError naming ``what`` and the file."""
-    try:
-        return read_csv_series(path, kind, units, label=label)
-    except (OSError, ValueError, InputError) as exc:
-        reason = getattr(exc, "strerror", None) or exc  # an OSError's str() repeats the path
-        raise InputError(f"{what} ({path}): {reason}") from exc
-
-
-def load_all(
-    manifest: dict[str, ManifestEntry],
-    cache: Path | None = None,
-) -> dict[str, AnnualSeries]:
+def load_all(manifest: dict[str, ManifestEntry]) -> dict[str, AnnualSeries]:
     """Load every manifest series; labor-force entries also get a derived
     ``<name>_growth`` series (annual log-difference) for use as a predictor."""
-    from .series import log_growth
-
-    data = {name: load_series(manifest, name, cache=cache) for name in manifest}
+    data = {name: load_series(manifest, name) for name in manifest}
     for name, entry in manifest.items():
         if entry.kind == "labor-force" and len(data[name]) >= 2:
             data[f"{name}_growth"] = log_growth(data[name]).relabel(f"{name}_growth")

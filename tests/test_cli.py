@@ -817,6 +817,51 @@ class TestFetchCommand:
         assert run("--manifest", str(mpath), "--cache-dir", str(tmp_path / "c"),
                    "fetch", "--timeout", "0.2") == 1
 
+    @staticmethod
+    def remote_manifest(tmp_path, base_url: str) -> Path:
+        """A manifest of one remote series ``u`` at ``{base_url}/lfs/u.csv``."""
+        manifest = {"series": {"u": {
+            "remote": {"base_url": base_url, "dataset": "lfs", "key": "u"},
+            "kind": "unemployment", "units": "percent"}}}
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps(manifest))
+        return mpath
+
+    def test_failed_forced_fetch_keeps_the_cache(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "lfs__u.csv").write_text("year,value\n1980,2.0\n1981,3.0\n")
+        before = (cache / "lfs__u.csv").read_bytes()
+        mpath = self.remote_manifest(tmp_path, "http://127.0.0.1:1")
+        assert run("--manifest", str(mpath), "--cache-dir", str(cache),
+                   "fetch", "--force", "--timeout", "0.2") == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: series 'u': fetch of http://127.0.0.1:1/lfs/u.csv failed")
+        assert (cache / "lfs__u.csv").read_bytes() == before
+        assert list(cache.iterdir()) == [cache / "lfs__u.csv"]
+
+    def test_every_name_is_checked_before_any_fetch(self, monkeypatch, tmp_path, capsys):
+        fetched = []
+        monkeypatch.setattr(ingest, "fetch_payload", lambda desc, **kwargs: fetched.append(desc))
+        mpath = self.remote_manifest(tmp_path, "http://127.0.0.1:1")
+        cache = tmp_path / "cache"
+        assert run("--manifest", str(mpath), "--cache-dir", str(cache),
+                   "fetch", "--series", "u,zz") == 1
+        assert capsys.readouterr().err == "error: series 'zz' not in manifest\n"
+        assert fetched == []
+        assert not cache.exists()
+
+    def test_fetch_and_fit_name_the_series_of_a_malformed_payload(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "lfs__u.csv").write_text("Not Found")
+        mpath = self.remote_manifest(tmp_path, "http://example.invalid")
+        prefix = "error: series 'u': malformed payload from http://example.invalid/lfs/u.csv: "
+        for command in (["fetch"], ["--out", str(tmp_path / "o"), "fit", "--response", "u",
+                                    "--predictor", "u"]):
+            assert run("--manifest", str(mpath), "--cache-dir", str(cache), *command) == 1
+            assert capsys.readouterr().err.startswith(prefix)
 
     def test_relative_cache_resolves_against_the_manifest(self, monkeypatch, tmp_path):
         def no_fetch(*args, **kwargs):

@@ -1,5 +1,6 @@
 import ast
 import http.server
+import inspect
 import io
 import json
 import threading
@@ -113,6 +114,42 @@ class TestFileFormatOwner:
         assert private == []
 
 
+class TestOneSeriesReader:
+    """``read_entry`` is the one reader of a series: a manifest entry, a
+    scenario CSV and ``fetch`` all parse and fetch through it."""
+
+    @staticmethod
+    def readers() -> dict[str, set[str]]:
+        """``read_csv_series`` and ``fetch_payload``, each mapped to the
+        ``<module>.<function>`` names in the package that read it; a read
+        outside any top-level function or class is ``<module>.<module>``."""
+        readers: dict[str, set[str]] = {"read_csv_series": set(), "fetch_payload": set()}
+        for path in sorted(SRC.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for top in tree.body:
+                named = isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                owner = top.name if named else "<module>"
+                for node in ast.walk(top):
+                    name = (node.id if isinstance(node, ast.Name)
+                            else node.attr if isinstance(node, ast.Attribute) else None)
+                    if name in readers and isinstance(node.ctx, ast.Load):
+                        readers[name].add(f"{path.stem}.{owner}")
+        return readers
+
+    def test_only_read_entry_parses_and_fetches(self):
+        assert self.readers() == {"read_csv_series": {"ingest.read_entry"},
+                                  "fetch_payload": {"ingest.read_entry"}}
+
+    def test_only_load_manifest_takes_a_cache_directory(self):
+        takers = {name for name, value in vars(ingest).items()
+                  if inspect.isfunction(value) and value.__module__ == ingest.__name__
+                  and "cache" in inspect.signature(value).parameters}
+        assert takers == {"load_manifest"}
+        retired = {"fetch_remote", "read_csv_file"}
+        assert not retired & set(vars(ingest))
+        assert not hasattr(ingest.RemoteDescriptor, "cache_file")
+
+
 class TestManifest:
     def test_load_and_resolve(self, tmp_path):
         (tmp_path / "u.csv").write_text("year,value\n1980,2.0\n1981,3.0\n")
@@ -182,65 +219,71 @@ def http_fixture():
     assert not thread.is_alive()
 
 
+def remote_entry(base_url: str, cache: Path, dataset: str = "lfs",
+                 key: str = "u") -> ingest.ManifestEntry:
+    """A percent unemployment entry at ``{base_url}/{dataset}/{key}.csv``,
+    cached where ``load_manifest`` would put it in the directory ``cache``."""
+    desc = ingest.RemoteDescriptor(base_url, dataset, key, cache / f"{dataset}__{key}.csv")
+    return ingest.ManifestEntry("unemployment", "percent", remote=desc)
+
+
 class TestFetchRemote:
     def test_fetch_then_cache_hit(self, http_fixture, tmp_path):
-        desc = ingest.RemoteDescriptor(base_url=http_fixture, dataset="lfs", key="u")
-        s1 = ingest.fetch_remote(desc, "unemployment", "percent", cache=tmp_path)
+        entry = remote_entry(http_fixture, tmp_path)
+        s1 = ingest.read_entry("series 'u'", entry)
         assert s1.values == (0.02, 0.03)
         assert _Handler.hits == 1
-        s2 = ingest.fetch_remote(desc, "unemployment", "percent", cache=tmp_path)
+        s2 = ingest.read_entry("series 'u'", entry)
         assert s2 == s1
         assert _Handler.hits == 1  # warm cache, no network
 
     def test_cache_is_offline_safe(self, http_fixture, tmp_path):
-        desc = ingest.RemoteDescriptor(base_url=http_fixture, dataset="lfs", key="u")
-        ingest.fetch_remote(desc, "unemployment", "percent", cache=tmp_path)
-        dead = ingest.RemoteDescriptor(base_url="http://127.0.0.1:1", dataset="lfs", key="u")
-        s = ingest.fetch_remote(dead, "unemployment", "percent", cache=tmp_path)
+        ingest.read_entry("series 'u'", remote_entry(http_fixture, tmp_path))
+        dead = remote_entry("http://127.0.0.1:1", tmp_path)
+        s = ingest.read_entry("series 'u'", dead)
         assert s.values == (0.02, 0.03)
 
     def test_404_no_cache(self, http_fixture, tmp_path):
-        desc = ingest.RemoteDescriptor(base_url=http_fixture, dataset="lfs", key="missing")
+        entry = remote_entry(http_fixture, tmp_path, key="missing")
         with pytest.raises(RetrievalError):
-            ingest.fetch_remote(desc, "unemployment", "percent", cache=tmp_path)
+            ingest.read_entry("series 'u'", entry)
 
     def test_unreachable_no_cache(self, tmp_path):
-        desc = ingest.RemoteDescriptor(base_url="http://127.0.0.1:1", dataset="x", key="y")
+        entry = remote_entry("http://127.0.0.1:1", tmp_path, dataset="x", key="y")
         with pytest.raises(RetrievalError):
-            ingest.fetch_remote(desc, "unemployment", "percent", cache=tmp_path, timeout=0.2)
+            ingest.read_entry("series 'u'", entry, timeout=0.2)
 
     # a one-line payload is CSV text too, never a file name
     @pytest.mark.parametrize("payload", ["not,a,series\n", "year,value", "Not Found"])
     def test_malformed_payload(self, tmp_path, payload):
-        desc = ingest.RemoteDescriptor(base_url="http://example.invalid", dataset="x", key="y")
-        desc.cache_file(tmp_path).parent.mkdir(parents=True, exist_ok=True)
-        desc.cache_file(tmp_path).write_text(payload)
+        entry = remote_entry("http://example.invalid", tmp_path, dataset="x", key="y")
+        entry.remote.cache_path.write_text(payload)
         with pytest.raises(ParseError):
-            ingest.fetch_remote(desc, "unemployment", "percent", cache=tmp_path)
+            ingest.read_entry("series 'u'", entry)
 
     def test_env_var_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv(ingest.CACHE_DIR_ENV, str(tmp_path / "alt"))
         assert ingest.cache_dir() == tmp_path / "alt"
 
     def test_stale_tmp_directory_does_not_block_the_fetch(self, monkeypatch, tmp_path):
-        desc = ingest.RemoteDescriptor(base_url="http://example.invalid", dataset="x", key="y")
-        target = desc.cache_file(tmp_path)
+        desc = remote_entry("http://example.invalid", tmp_path, dataset="x", key="y").remote
+        target = desc.cache_path
         stale = target.with_suffix(target.suffix + ".tmp")
         stale.mkdir(parents=True)
         monkeypatch.setattr(urllib.request, "urlopen",
                             lambda url, timeout: io.BytesIO(PAYLOAD.encode()))
-        assert ingest.fetch_payload(desc, cache=tmp_path) == PAYLOAD
+        assert ingest.fetch_payload(desc) == PAYLOAD
         assert target.read_text(encoding="utf-8") == PAYLOAD
         assert sorted(target.parent.iterdir()) == sorted([target, stale])
 
     def test_cache_file_has_write_text_mode(self, monkeypatch, tmp_path):
-        desc = ingest.RemoteDescriptor(base_url="http://example.invalid", dataset="x", key="y")
+        desc = remote_entry("http://example.invalid", tmp_path, dataset="x", key="y").remote
         monkeypatch.setattr(urllib.request, "urlopen",
                             lambda url, timeout: io.BytesIO(PAYLOAD.encode()))
-        ingest.fetch_payload(desc, cache=tmp_path)
+        ingest.fetch_payload(desc)
         sibling = tmp_path / "sibling.csv"
         sibling.write_text(PAYLOAD, encoding="utf-8")
-        assert desc.cache_file(tmp_path).stat().st_mode == sibling.stat().st_mode
+        assert desc.cache_path.stat().st_mode == sibling.stat().st_mode
 
 
 class TestWriteAtomic:
@@ -317,6 +360,22 @@ class TestManifestEntries:
         # only a labor-force entry has a derived growth series
         assert ingest.entries_for(manifest, ["pop_growth", "u_growth"]) == {}
 
+    def test_remote_cache_file_resolves_when_the_manifest_loads(self, monkeypatch, tmp_path):
+        monkeypatch.setenv(ingest.CACHE_DIR_ENV, str(tmp_path / "env"))
+        remote = {"base_url": "http://example.invalid", "dataset": "lfs", "key": "u"}
+        mpath = write_manifest(tmp_path, {
+            "derived": {"remote": remote, "kind": "unemployment", "units": "percent"},
+            "empty": {"remote": {**remote, "cache": ""}, "kind": "unemployment",
+                      "units": "percent"},
+            "own": {"remote": {**remote, "cache": "c/u.csv"}, "kind": "unemployment",
+                    "units": "percent"}})
+        for cache, derived in ((None, tmp_path / "env"), (tmp_path / "dir", tmp_path / "dir")):
+            manifest = ingest.load_manifest(mpath, cache=cache)
+            assert manifest["derived"].remote.cache_path == derived / "lfs__u.csv"
+            # an empty "cache" is the derived location, as an absent one is
+            assert manifest["empty"].remote.cache_path == derived / "lfs__u.csv"
+            assert manifest["own"].remote.cache_path == tmp_path / "c" / "u.csv"
+
     @pytest.mark.parametrize("text, reason", [
         (None, "No such file or directory"),
         ("year,value\n1980,1.0\n1981,x\n", "row 3: unparsable row '1981,x'"),
@@ -333,11 +392,11 @@ class TestManifestEntries:
         assert str(info.value).startswith(f"series 'u' ({tmp_path / 'u.csv'}): {reason}")
 
     def test_malformed_payload_names_the_series_and_the_url(self, tmp_path):
-        desc = ingest.RemoteDescriptor(base_url="http://example.invalid", dataset="x", key="y")
-        desc.cache_file(tmp_path).write_text("Not Found")
         manifest = ingest.load_manifest(write_manifest(tmp_path, {"u": {
-            "remote": {"base_url": desc.base_url, "dataset": "x", "key": "y"},
-            "kind": "unemployment", "units": "percent"}}))
+            "remote": {"base_url": "http://example.invalid", "dataset": "x", "key": "y"},
+            "kind": "unemployment", "units": "percent"}}), cache=tmp_path)
+        desc = manifest["u"].remote
+        desc.cache_path.write_text("Not Found")
         with pytest.raises(ParseError) as info:
-            ingest.load_series(manifest, "u", cache=tmp_path)
+            ingest.load_series(manifest, "u")
         assert str(info.value).startswith(f"series 'u': malformed payload from {desc.url}: ")
