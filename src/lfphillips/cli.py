@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: fit, scan-lag, scan-break, diagnose, forecast, plot, fetch.
-Artifacts go to the --out directory (created if absent); inputs are never
-mutated. Exit codes: 0 success, 1 data/model error, 2 usage error. A global
-flag that the subcommand does not read is a usage error, not ignored. A data
-command checks the whole --manifest but reads only the series that it names.
+Each ``cmd_*`` returns its artifacts (file name to text) and its summary line;
+``main`` alone creates --out, writes them with ``ingest.write_atomic`` once all
+are built and prints the line, so a failed command writes nothing and creates
+no --out. Inputs are never mutated. Exit codes: 0 success, 1 data/model
+error, 2 usage error. A global flag that the subcommand does not read is a
+usage error, not ignored, and so is an inline spec flag given with --spec. A
+data command checks the whole --manifest but reads only the series it names.
 
 Model specs can be given as a JSON file (--spec, the canonical form, read
 by ``LinkSpec.from_dict`` and echoed into outputs by ``LinkSpec.to_dict``) or
@@ -38,10 +41,17 @@ _FLAG_READERS = {
     "--out": ("fit", "scan-lag", "scan-break", "diagnose", "forecast", "plot"),
 }
 
+# the inline spec flags, which --spec replaces rather than amends
+_SPEC_FLAGS = ("--response", "--predictor", "--estimator", "--break-year", "--share")
+
+
+def _given(args, flag: str) -> bool:
+    return getattr(args, flag[2:].replace("-", "_")) is not None
+
 
 def _check_global_flags(args) -> None:
     for flag, readers in _FLAG_READERS.items():
-        if getattr(args, flag[2:].replace("-", "_")) is not None and args.command not in readers:
+        if _given(args, flag) and args.command not in readers:
             raise UsageError(f"{flag} has no effect on {args.command}; "
                              f"it is read by {', '.join(readers)}")
 
@@ -79,6 +89,10 @@ def _manifest(args) -> dict[str, ingest.ManifestEntry]:
 def _spec_and_data(args) -> tuple[estimate.LinkSpec, dict[str, AnnualSeries]]:
     """The spec of --spec or the inline flags, and the series that it names;
     the whole manifest is checked first."""
+    if args.spec:
+        for flag in _SPEC_FLAGS:
+            if _given(args, flag):
+                raise UsageError(f"{flag} has no effect with --spec; set it in the spec file")
     manifest = _manifest(args)
     if args.spec:
         spec = estimate.LinkSpec.from_dict(ingest.read_json(args.spec, "spec"))
@@ -96,7 +110,7 @@ def _spec_and_data(args) -> tuple[estimate.LinkSpec, dict[str, AnnualSeries]]:
         spec = estimate.LinkSpec(
             response=args.response,
             predictors=tuple(predictors),
-            estimator=args.estimator,
+            estimator=args.estimator or "ols",
             break_year=args.break_year,
             shared=tuple(args.share or ()),
         )
@@ -104,12 +118,6 @@ def _spec_and_data(args) -> tuple[estimate.LinkSpec, dict[str, AnnualSeries]]:
         spec = replace(spec, window=_parse_window(args.window))
     names = [spec.response, *(p.name for p in spec.predictors)]
     return spec, ingest.load_all(ingest.entries_for(manifest, names))
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out or "out")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _fit_document(result: estimate.FitResult) -> dict:
@@ -128,21 +136,15 @@ def _fit_document(result: estimate.FitResult) -> dict:
     }
 
 
-def _write_json(path: Path, doc) -> None:
-    ingest.write_atomic(path, ingest.json_text(doc))
-
-
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> tuple[dict[str, str], str]:
     spec, data = _spec_and_data(args)
     result = estimate.fit(spec, data)
-    out = _out_dir(args)
-    _write_json(out / "fit.json", _fit_document(result))
-    ingest.write_csv_series(result.residuals, out / "residuals.csv")
-    print(f"fit written to {out / 'fit.json'}")
-    return 0
+    return ({"fit.json": ingest.json_text(_fit_document(result)),
+             "residuals.csv": ingest.series_csv(result.residuals)},
+            f"fit written to {args.out / 'fit.json'}")
 
 
-def cmd_scan_lag(args) -> int:
+def cmd_scan_lag(args) -> tuple[dict[str, str], str]:
     spec, data = _spec_and_data(args)
     lags, y = _parse_range(args.lags), data.get(spec.response)
     x = data.get(spec.predictors[0].name)
@@ -150,34 +152,28 @@ def cmd_scan_lag(args) -> int:
     # with either series missing, no lag yields a sample
     lags = _clip(lags, y.start_year - x.end_year, y.end_year - x.start_year) if y and x else ()
     results, best = estimate.scan_lag(spec, data, lag_range=lags)
-    out = _out_dir(args)
     rows = ((lag, res.r2_annual, res.r2_cumulative, res.objective_sse, "*" if lag == best else "")
             for lag, res in results)
-    ingest.write_atomic(out / "scan_lag.csv", ingest.csv_text(
-        ("lag", "r2_annual", "r2_cumulative", "sse", "best"), rows))
-    print(f"best lag: {best}")
-    return 0
+    return ({"scan_lag.csv": ingest.csv_text(
+        ("lag", "r2_annual", "r2_cumulative", "sse", "best"), rows)}, f"best lag: {best}")
 
 
-def cmd_scan_break(args) -> int:
+def cmd_scan_break(args) -> tuple[dict[str, str], str]:
     spec, data = _spec_and_data(args)
     years, y = _parse_range(args.years), data.get(spec.response)
     # a break must fall inside the response's years; without a response the
     # scan fails before it reads a candidate
     years = _clip(years, y.start_year, y.end_year) if y else ()
     profile, best = estimate.scan_break(spec, data, candidate_years=years)
-    out = _out_dir(args)
     rows = ((year, sse, "*" if year == best else "") for year, sse in profile)
-    ingest.write_atomic(out / "scan_break.csv", ingest.csv_text(("year", "sse", "best"), rows))
-    print(f"best break year: {best}")
-    return 0
+    return ({"scan_break.csv": ingest.csv_text(("year", "sse", "best"), rows)},
+            f"best break year: {best}")
 
 
-def cmd_diagnose(args) -> int:
+def cmd_diagnose(args) -> tuple[dict[str, str], str]:
     spec, data = _spec_and_data(args)
     result = estimate.fit(spec, data)
     adf = diag.adf_test(result.residuals, lag_order=args.adf_lags)
-    out = _out_dir(args)
     doc = _fit_document(result)
     doc["adf"] = {
         "statistic": adf.statistic,
@@ -186,13 +182,12 @@ def cmd_diagnose(args) -> int:
         "critical_values": {str(k): v for k, v in adf.critical_values.items()},
         "rejects_unit_root": {str(k): v for k, v in adf.rejects.items()},
     }
-    _write_json(out / "diagnose.json", doc)
-    print(f"ADF statistic {adf.statistic:.3f}; "
-          f"unit root rejected at 5%: {adf.rejects_unit_root(0.05)}")
-    return 0
+    return ({"diagnose.json": ingest.json_text(doc)},
+            f"ADF statistic {adf.statistic:.3f}; "
+            f"unit root rejected at 5%: {adf.rejects_unit_root(0.05)}")
 
 
-def cmd_forecast(args) -> int:
+def cmd_forecast(args) -> tuple[dict[str, str], str]:
     formats = {name.strip() for name in (args.format or "csv,json").split(",")}
     unknown = sorted(formats - {"csv", "json", "svg"})
     if unknown:
@@ -207,11 +202,11 @@ def cmd_forecast(args) -> int:
             )
         models.append(forecast.MODEL_REGISTRY[name])
     report = forecast.forecast_report(models, scenario)
-    out = _out_dir(args)
+    artifacts = {}
     if "csv" in formats:
-        ingest.write_atomic(out / "report.csv", forecast.report_to_csv(report))
+        artifacts["report.csv"] = forecast.report_to_csv(report)
     if "json" in formats:
-        ingest.write_atomic(out / "report.json", forecast.report_to_json(report))
+        artifacts["report.json"] = forecast.report_to_json(report)
     if "svg" in formats:
         style = svg.ChartStyle(title="forecast", y_label="rate", percent_axis=True)
         # inflation and unemployment carry different unit tags; chart each group
@@ -220,14 +215,13 @@ def cmd_forecast(args) -> int:
             (list(report.unemployment.items()), "unemployment"),
         ):
             if group:
-                doc = svg.line_chart([s.relabel(k) for k, s in group], style=style)
-                ingest.write_atomic(out / f"forecast_{tag}.svg", doc)
-    ingest.write_atomic(out / "scenario.csv", forecast.scenario_to_csv(scenario))
-    print(f"forecast written to {out}")
-    return 0
+                artifacts[f"forecast_{tag}.svg"] = svg.line_chart(
+                    [s.relabel(k) for k, s in group], style=style)
+    artifacts["scenario.csv"] = forecast.scenario_to_csv(scenario)
+    return artifacts, f"forecast written to {args.out}"
 
 
-def cmd_plot(args) -> int:
+def cmd_plot(args) -> tuple[dict[str, str], str]:
     names = [n.strip() for n in args.series.split(",")]
     if args.mode == "scatter" and len(names) != 2:
         raise InputError("scatter mode needs exactly two series (x then y)")
@@ -258,14 +252,11 @@ def cmd_plot(args) -> int:
         doc = svg.scatter_chart(*chosen, style=style, regression=regression)
     else:
         doc = svg.line_chart(chosen, style=style)
-    out = _out_dir(args)
-    target = out / (args.name or "chart.svg")
-    ingest.write_atomic(target, doc)
-    print(f"chart written to {target}")
-    return 0
+    name = args.name or "chart.svg"
+    return {name: doc}, f"chart written to {args.out / name}"
 
 
-def cmd_fetch(args) -> int:
+def cmd_fetch(args) -> tuple[dict[str, str], str]:
     manifest = _manifest(args)
     names = [n.strip() for n in args.series.split(",")] if args.series else sorted(manifest)
     # every name is checked before any is fetched
@@ -276,8 +267,7 @@ def cmd_fetch(args) -> int:
     for name in remote:
         ingest.read_entry(f"series {name!r}", manifest[name], label=name,
                           timeout=args.timeout, force=args.force)
-    print(f"fetched {len(remote)} remote series")
-    return 0
+    return {}, f"fetched {len(remote)} remote series"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--response", help="response series name")
         p.add_argument("--predictor", action="append",
                        help="predictor as name or name:lag (repeatable)")
-        p.add_argument("--estimator", choices=["ols", "cumulative"], default="ols")
+        p.add_argument("--estimator", choices=["ols", "cumulative"])
         p.add_argument("--break-year", type=int, dest="break_year")
         p.add_argument("--share", action="append",
                        help="coefficient shared across break segments (repeatable)")
@@ -350,7 +340,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_global_flags(args)
-        return args.func(args)
+        args.out = Path(args.out or "out")
+        artifacts, message = args.func(args)
+        if artifacts:  # every artifact is built before the first is written
+            args.out.mkdir(parents=True, exist_ok=True)
+        for name, text in artifacts.items():
+            ingest.write_atomic(args.out / name, text)
+        print(message)
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -129,8 +129,8 @@ def _evaluate(model: ModelRegistryEntry, scenario: Scenario,
                 "labor-force scenario alone"
             )
         values.append(total)
-    units = "fraction" if model.response == "unemployment" else "fraction-per-year"
-    return AnnualSeries(first, tuple(values), label=model.identifier, units=units)
+    return AnnualSeries(first, tuple(values), label=model.identifier,
+                        units=ingest.KIND_UNITS[model.response])
 
 
 @dataclass(frozen=True)

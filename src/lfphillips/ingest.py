@@ -9,16 +9,22 @@ directory. A command reads only the entries that ``entries_for`` picks.
 
 ``read_entry`` is the one reader of a series, whether a manifest entry, a
 scenario CSV or a ``fetch``: it alone calls ``read_csv_series`` and
-``fetch_payload``, and every failure it raises names what was being read.
+``fetch_payload``, and every failure it raises names the series and the file
+or URL it read: a missing or unreadable file, a cache file that is not UTF-8,
+a malformed URL, a failed fetch and a payload that does not decode or parse.
 Remote fetches are cache-first: the raw payload is cached verbatim on first
 fetch and all later loads are offline. A forced refetch that fails raises and
 leaves the cache file as it was.
 
+``KIND_UNITS`` is the one map from a series kind to its internal units tag;
+a forecast path carries the units of its model's response kind through it.
+
 Other modules read and write files only through this one: ``read_json``,
 ``json_object`` and the ``json_int``/``json_float``/``json_str`` field checks
 read every spec, scenario and manifest, and ``json_path`` every file they name.
-Every CSV or JSON artifact is ``csv_text`` or ``json_text``, and every file is
-written by ``write_atomic``.
+Every CSV or JSON artifact is ``csv_text`` or ``json_text`` (a series is
+``series_csv``), and every file is written by ``write_atomic``: the CLI's
+artifacts by ``cli.main``, a fetched payload by ``fetch_payload``.
 """
 
 from __future__ import annotations
@@ -35,11 +41,8 @@ from .series import AnnualSeries, log_growth
 CACHE_DIR_ENV = "LFPHILLIPS_CACHE_DIR"
 DEFAULT_CACHE_DIR = Path.home() / ".cache" / "lfphillips"
 
-KINDS = ("cpi-inflation", "dgdp-inflation", "unemployment", "labor-force", "population")
-SOURCE_UNITS = ("fraction", "percent", "persons", "thousands")
-
 # internal units tag per series kind
-_KIND_UNITS = {
+KIND_UNITS = {
     "cpi-inflation": "fraction-per-year",
     "dgdp-inflation": "fraction-per-year",
     "unemployment": "fraction",
@@ -54,6 +57,9 @@ _UNIT_SCALE = {
     "persons": 1.0,
     "thousands": 1000.0,
 }
+
+KINDS = tuple(KIND_UNITS)
+SOURCE_UNITS = tuple(_UNIT_SCALE)
 
 
 def read_json(path, what: str):
@@ -177,7 +183,7 @@ def read_csv_series(source, kind: str, units: str, label: str = "") -> AnnualSer
         values.append(value * scale)
     if not years:
         raise InputError("no data rows")
-    return AnnualSeries(years[0], tuple(values), label=label, units=_KIND_UNITS[kind])
+    return AnnualSeries(years[0], tuple(values), label=label, units=KIND_UNITS[kind])
 
 
 def cache_dir() -> Path:
@@ -192,45 +198,61 @@ def read_entry(what: str, entry: ManifestEntry, label: str = "", timeout: float 
     A path entry whose file cannot be read or parsed raises InputError
     ``"<what> (<path>): <reason>"``. A remote entry is read through
     ``fetch_payload``, which fetches only on a cold cache or with ``force``;
-    a failed fetch raises RetrievalError ``"<what>: ..."`` and a payload that
-    does not parse ParseError ``"<what>: malformed payload from <url>: ..."``.
+    a failed fetch or an unreadable cache file raises RetrievalError
+    ``"<what>: ..."`` naming the URL or the cache file, and a payload that
+    does not decode or parse ParseError ``"<what>: malformed payload from <url>: ..."``.
     """
     if entry.remote is None:
         try:
             return read_csv_series(entry.path, entry.kind, entry.units, label=label)
         except (OSError, ValueError, InputError) as exc:
-            reason = getattr(exc, "strerror", None) or exc  # an OSError's str() repeats the path
-            raise InputError(f"{what} ({entry.path}): {reason}") from exc
+            raise InputError(f"{what} ({entry.path}): {_reason(exc)}") from exc
     try:
         payload = fetch_payload(entry.remote, timeout=timeout, force=force)
-    except RetrievalError as exc:
-        raise RetrievalError(f"{what}: {exc}") from exc
+    except (RetrievalError, ParseError) as exc:
+        raise type(exc)(f"{what}: {exc}") from exc
     try:
         return read_csv_series(payload, entry.kind, entry.units, label=label)
     except InputError as exc:
         raise ParseError(f"{what}: malformed payload from {entry.remote.url}: {exc}") from exc
 
 
+def _reason(exc: Exception):
+    """What went wrong in ``exc``; an OSError's str() would repeat the path."""
+    return getattr(exc, "strerror", None) or exc
+
+
 def fetch_payload(desc: RemoteDescriptor, timeout: float = 30.0, force: bool = False) -> str:
     """The payload of ``desc``: its cache file's text on a warm cache, else
     the text fetched from its URL, which then replaces the cache file.
 
-    ``force`` fetches even on a warm cache. A failed fetch raises
-    RetrievalError and leaves the cache file as it was.
+    ``force`` fetches even on a warm cache. A cache file that cannot be read
+    or decoded, or a failed fetch (a malformed URL included), raises
+    RetrievalError; a fetched payload that is not UTF-8 raises ParseError.
+    Either leaves the cache file as it was.
     """
     target = desc.cache_path
     if target.exists() and not force:
-        return target.read_text(encoding="utf-8")
+        try:
+            return target.read_text(encoding="utf-8")
+        except (OSError, ValueError) as exc:
+            raise RetrievalError(f"cannot read cache file {target}: {_reason(exc)}") from exc
     # the HTTP stack costs ~45 ms to import; only a cold fetch pays for it
-    import urllib.error
+    import http.client
     import urllib.request
 
     try:
         with urllib.request.urlopen(desc.url, timeout=timeout) as resp:
-            payload = resp.read().decode("utf-8")
-    except (urllib.error.URLError, OSError) as exc:
+            raw = resp.read()
+    # OSError: URLError and socket errors; ValueError: a URL without a scheme;
+    # HTTPException: a truncated or garbled response
+    except (OSError, ValueError, http.client.HTTPException) as exc:
         cached = "the cache file is kept as it was" if target.exists() else "no cache present"
         raise RetrievalError(f"fetch of {desc.url} failed and {cached}: {exc}") from exc
+    try:
+        payload = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"malformed payload from {desc.url}: {exc}") from exc
     target.parent.mkdir(parents=True, exist_ok=True)
     # concurrent fetchers of one key converge on a whole payload
     write_atomic(target, payload)
@@ -352,9 +374,14 @@ def participation_labor_force(population: AnnualSeries, rate: float) -> AnnualSe
     )
 
 
+def series_csv(s: AnnualSeries) -> str:
+    """``s`` in the on-disk ``year,value`` CSV format (repr round-trips floats exactly)."""
+    return csv_text(("year", "value"), zip(s.years, s.values))
+
+
 def write_csv_series(s: AnnualSeries, path) -> None:
-    """Write back in the on-disk CSV format (repr round-trips floats exactly)."""
-    write_atomic(path, csv_text(("year", "value"), zip(s.years, s.values)))
+    """Write ``s`` to ``path`` as ``series_csv`` text."""
+    write_atomic(path, series_csv(s))
 
 
 def csv_text(header, rows) -> str:

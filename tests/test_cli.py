@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lfphillips import estimate, forecast, ingest, svg
 from lfphillips.cli import main
+from lfphillips.errors import InputError
 from lfphillips.estimate import LinkSpec
 from lfphillips.oracle import SynthSpec, generate
 from lfphillips.series import AnnualSeries
@@ -863,6 +865,43 @@ class TestFetchCommand:
             assert run("--manifest", str(mpath), "--cache-dir", str(cache), *command) == 1
             assert capsys.readouterr().err.startswith(prefix)
 
+    @pytest.mark.parametrize("command", [["fetch"], ["--out", "o", "plot", "--series", "u"]])
+    def test_url_without_a_scheme_names_the_series(self, monkeypatch, tmp_path, capsys,
+                                                   command):
+        monkeypatch.chdir(tmp_path)
+        mpath = self.remote_manifest(tmp_path, "data.example/api")
+        assert run("--manifest", str(mpath), "--cache-dir", "cache", *command) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: series 'u': fetch of data.example/api/lfs/u.csv failed and "
+                       "no cache present: unknown url type: 'data.example/api/lfs/u.csv'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
+    @pytest.mark.parametrize("command", [["fetch"], ["--out", "o", "plot", "--series", "u"]])
+    def test_cache_that_is_not_utf8_names_the_series_and_the_file(self, monkeypatch, tmp_path,
+                                                                  capsys, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cache").mkdir()
+        (tmp_path / "cache" / "lfs__u.csv").write_bytes(b"year,value\n1980,\xff\n")
+        mpath = self.remote_manifest(tmp_path, "http://example.invalid")
+        assert run("--manifest", str(mpath), "--cache-dir", "cache", *command) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: series 'u': cannot read cache file "
+                              f"{Path('cache', 'lfs__u.csv')}: 'utf-8' codec can't decode")
+        assert not (tmp_path / "o").exists()
+
+    def test_payload_that_is_not_utf8_names_the_series_and_the_url(self, monkeypatch, tmp_path,
+                                                                   capsys):
+        monkeypatch.setattr(urllib.request, "urlopen",
+                            lambda url, timeout: io.BytesIO(b"year,value\n1980,\xff\n"))
+        mpath = self.remote_manifest(tmp_path, "http://example.invalid")
+        cache = tmp_path / "cache"
+        assert run("--manifest", str(mpath), "--cache-dir", str(cache), "fetch") == 1
+        assert capsys.readouterr().err.startswith(
+            "error: series 'u': malformed payload from http://example.invalid/lfs/u.csv: "
+            "'utf-8' codec can't decode")
+        assert not cache.exists()
+
     def test_relative_cache_resolves_against_the_manifest(self, monkeypatch, tmp_path):
         def no_fetch(*args, **kwargs):
             raise AssertionError("a warm cache was fetched")
@@ -983,6 +1022,19 @@ class TestAtomicArtifacts:
         assert run(*argv) == 1
         assert "Traceback" not in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_failed_command_writes_nothing(self, japan_scenario_path, tmp_path, monkeypatch,
+                                           capsys):
+        # the reports are built before the chart fails, and none is written
+        def broken_chart(*args, **kwargs):
+            raise InputError("chart failed")
+
+        monkeypatch.setattr(svg, "line_chart", broken_chart)
+        out = tmp_path / "o"
+        assert run("--out", str(out), "--format", "csv,json,svg", "forecast",
+                   "--scenario", str(japan_scenario_path)) == 1
+        assert capsys.readouterr() == ("", "error: chart failed\n")
+        assert not out.exists()
 
     def test_artifact_mode_matches_write_text(self, line_fixture, tmp_path):
         out = tmp_path / "o"
@@ -1187,3 +1239,49 @@ class TestScanBreakYear:
         assert run("--manifest", str(DATA_DIR / "manifest.json"), "--out", str(tmp_path / "o"),
                    "scan-break", "--spec", str(spath), "--years", "1975:1994") == 1
         assert capsys.readouterr().err.startswith('error: "break_year" 1990')
+
+
+class TestSpecFlagsWithSpec:
+    """--spec replaces the inline spec flags, so one given with it is refused, not dropped."""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--response", "dgdp"), ("--predictor", "labor_force_growth"), ("--estimator", "ols"),
+        ("--break-year", "1990"), ("--share", "intercept"),
+    ])
+    def test_inline_flag_is_refused(self, tmp_path, capsys, flag, value):
+        spath = tmp_path / "spec.json"
+        spath.write_text(json.dumps({"response": "cpi", "predictors": [{"name": "unemployment"}]}))
+        assert run("--manifest", str(DATA_DIR / "manifest.json"), "--out", str(tmp_path / "o"),
+                   "fit", "--spec", str(spath), flag, value) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {flag} has no effect with --spec;")
+        assert not (tmp_path / "o").exists()
+
+
+class TestOneArtifactWriter:
+    """``main`` is the one writer of the CLI: a subcommand returns its artifacts
+    and its summary line, and only ``main`` creates --out, writes and prints."""
+
+    # each name a write, a print or a directory creation refers to, and what it does
+    ACTIONS = {"write_atomic": "write", "write_csv_series": "write", "write_text": "write",
+               "write_bytes": "write", "open": "write", "print": "print", "mkdir": "mkdir",
+               "makedirs": "mkdir"}
+
+    @classmethod
+    def owners(cls) -> dict[str, set[str]]:
+        """Each action of ``ACTIONS`` mapped to the top-level functions of
+        ``cli.py`` that refer to it; one outside any function is ``<module>``."""
+        owners: dict[str, set[str]] = {"write": set(), "print": set(), "mkdir": set()}
+        tree = ast.parse((ROOT / "src" / "lfphillips" / "cli.py").read_text(encoding="utf-8"))
+        for top in tree.body:
+            named = isinstance(top, (ast.FunctionDef, ast.ClassDef))
+            owner = top.name if named else "<module>"
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if name in cls.ACTIONS:
+                    owners[cls.ACTIONS[name]].add(owner)
+        return owners
+
+    def test_only_main_writes_prints_and_creates_a_directory(self):
+        assert self.owners() == {"write": {"main"}, "print": {"main"}, "mkdir": {"main"}}

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from lfphillips import ingest
 from lfphillips.errors import InputError
 from lfphillips.forecast import (
     MODEL_REGISTRY,
@@ -63,6 +64,15 @@ class TestRegistry:
         assert eq10.coefficients_for(1981)["l"] == -10.0
         assert eq10.coefficients_for(1982)["l"] == 2.80
         assert eq10.coefficients_for(1982)["u"] == 0.9
+
+    def test_paths_carry_the_units_of_the_response_kind(self):
+        # a registry response is a manifest kind; ingest alone maps a kind to units
+        assert {m.response for m in MODEL_REGISTRY.values()} <= set(ingest.KINDS)
+        s = build_scenario(labor_force=lf_path([1e6] * 41), horizon=(2011, 2050))
+        models = [m for m in MODEL_REGISTRY.values() if m.identifier != "eq6"]
+        report = forecast_report(models, s)
+        for name, path in {**report.inflation, **report.unemployment}.items():
+            assert path.units == ingest.KIND_UNITS[MODEL_REGISTRY[name].response]
 
 
 class TestForecastInflation:

@@ -1,4 +1,5 @@
 import ast
+import http.client
 import http.server
 import inspect
 import io
@@ -227,6 +228,10 @@ def remote_entry(base_url: str, cache: Path, dataset: str = "lfs",
     return ingest.ManifestEntry("unemployment", "percent", remote=desc)
 
 
+def no_fetch(*args, **kwargs):
+    raise AssertionError("a warm cache was fetched")
+
+
 class TestFetchRemote:
     def test_fetch_then_cache_hit(self, http_fixture, tmp_path):
         entry = remote_entry(http_fixture, tmp_path)
@@ -275,6 +280,64 @@ class TestFetchRemote:
         assert ingest.fetch_payload(desc) == PAYLOAD
         assert target.read_text(encoding="utf-8") == PAYLOAD
         assert sorted(target.parent.iterdir()) == sorted([target, stale])
+
+    @pytest.mark.parametrize("make, reason", [
+        (lambda p: p.write_bytes(b"year,value\n1980,\xff\n"), "'utf-8' codec can't decode"),
+        (lambda p: p.mkdir(), "Is a directory"),
+    ], ids=["not-utf-8", "directory"])
+    def test_unreadable_cache_names_the_series_and_the_file(self, monkeypatch, tmp_path,
+                                                            make, reason):
+        monkeypatch.setattr(urllib.request, "urlopen", no_fetch)
+        entry = remote_entry("http://example.invalid", tmp_path)
+        make(entry.remote.cache_path)
+        with pytest.raises(RetrievalError) as info:
+            ingest.read_entry("series 'u'", entry)
+        assert str(info.value).startswith(
+            f"series 'u': cannot read cache file {entry.remote.cache_path}: {reason}")
+
+    def test_payload_that_is_not_utf8_names_the_series_and_the_url(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(urllib.request, "urlopen",
+                            lambda url, timeout: io.BytesIO(b"year,value\n1980,\xff\n"))
+        entry = remote_entry("http://example.invalid", tmp_path)
+        with pytest.raises(ParseError) as info:
+            ingest.read_entry("series 'u'", entry)
+        assert str(info.value).startswith(
+            "series 'u': malformed payload from http://example.invalid/lfs/u.csv: "
+            "'utf-8' codec can't decode")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_forced_fetch_of_a_payload_that_is_not_utf8_keeps_the_cache(self, monkeypatch,
+                                                                       tmp_path):
+        monkeypatch.setattr(urllib.request, "urlopen",
+                            lambda url, timeout: io.BytesIO(b"\xff"))
+        entry = remote_entry("http://example.invalid", tmp_path)
+        entry.remote.cache_path.write_text(PAYLOAD, encoding="utf-8")
+        with pytest.raises(ParseError):
+            ingest.read_entry("series 'u'", entry, force=True)
+        assert list(tmp_path.iterdir()) == [entry.remote.cache_path]
+        assert entry.remote.cache_path.read_text(encoding="utf-8") == PAYLOAD
+
+    def test_url_without_a_scheme_names_the_series_and_the_url(self, tmp_path):
+        # urlopen refuses the URL before it opens a connection
+        entry = remote_entry("data.example/api", tmp_path)
+        with pytest.raises(RetrievalError) as info:
+            ingest.read_entry("series 'u'", entry)
+        assert str(info.value) == (
+            "series 'u': fetch of data.example/api/lfs/u.csv failed and no cache present: "
+            "unknown url type: 'data.example/api/lfs/u.csv'")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_truncated_response_names_the_series_and_the_url(self, monkeypatch, tmp_path):
+        class Truncated(io.BytesIO):
+            def read(self, *args):
+                raise http.client.IncompleteRead(b"year,va", 20)
+
+        monkeypatch.setattr(urllib.request, "urlopen", lambda url, timeout: Truncated())
+        entry = remote_entry("http://example.invalid", tmp_path)
+        with pytest.raises(RetrievalError) as info:
+            ingest.read_entry("series 'u'", entry)
+        assert str(info.value).startswith(
+            "series 'u': fetch of http://example.invalid/lfs/u.csv failed and no cache present: ")
 
     def test_cache_file_has_write_text_mode(self, monkeypatch, tmp_path):
         desc = remote_entry("http://example.invalid", tmp_path, dataset="x", key="y").remote
