@@ -56,28 +56,21 @@ def _check_global_flags(args) -> None:
                              f"it is read by {', '.join(readers)}")
 
 
-def _parse_window(text: str) -> tuple[int, int]:
-    try:
-        a, b = text.split(":")
-        first, last = int(a), int(b)
-    except ValueError as exc:
-        raise InputError(f"bad window {text!r}; expected Y1:Y2") from exc
-    if first > last:
-        raise InputError(f"empty window {first}:{last}")
-    return first, last
+def _span(what: str, text: str) -> tuple[int, int]:
+    """An ``A:B`` flag value as ``ingest.json_span`` checks it; a non-integer part goes as text."""
+    parts = text.split(":")
+    years = [int(p) if p.strip().removeprefix("-").isdecimal() else p for p in parts]
+    return ingest.json_span(what, years if len(parts) == 2 else text)
 
 
-def _parse_range(text: str) -> range:
-    try:
-        a, b = text.split(":")
-        return range(int(a), int(b) + 1)
-    except ValueError as exc:
-        raise InputError(f"bad range {text!r}; expected A:B") from exc
+def _overlap(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The years that two spans share; first > last when they share none."""
+    return max(a[0], b[0]), min(a[1], b[1])
 
 
-def _clip(candidates: range, first: int, last: int) -> range:
-    """The candidates within first..last, so that a scan costs what the data allow."""
-    return range(max(candidates.start, first), min(candidates.stop, last + 1))
+def _names(text: str) -> list[str]:
+    """The names of a comma-separated flag value, stripped."""
+    return [name.strip() for name in text.split(",")]
 
 
 def _manifest(args) -> dict[str, ingest.ManifestEntry]:
@@ -114,8 +107,8 @@ def _spec_and_data(args) -> tuple[estimate.LinkSpec, dict[str, AnnualSeries]]:
             break_year=args.break_year,
             shared=tuple(args.share or ()),
         )
-    if args.window:
-        spec = replace(spec, window=_parse_window(args.window))
+    if args.window is not None:
+        spec = replace(spec, window=_span("window", args.window))
     names = [spec.response, *(p.name for p in spec.predictors)]
     return spec, ingest.load_all(ingest.entries_for(manifest, names))
 
@@ -146,12 +139,13 @@ def cmd_fit(args) -> tuple[dict[str, str], str]:
 
 def cmd_scan_lag(args) -> tuple[dict[str, str], str]:
     spec, data = _spec_and_data(args)
-    lags, y = _parse_range(args.lags), data.get(spec.response)
+    lags, y = _span("lag range", args.lags), data.get(spec.response)
     x = data.get(spec.predictors[0].name)
     # any other lag leaves the response and the scanned predictor no common year;
-    # with either series missing, no lag yields a sample
-    lags = _clip(lags, y.start_year - x.end_year, y.end_year - x.start_year) if y and x else ()
-    results, best = estimate.scan_lag(spec, data, lag_range=lags)
+    # with either series missing, scan_lag refuses before it reads a lag
+    first, last = (_overlap(lags, (y.start_year - x.end_year, y.end_year - x.start_year))
+                   if y and x else (0, -1))
+    results, best = estimate.scan_lag(spec, data, lag_range=range(first, last + 1))
     rows = ((lag, res.r2_annual, res.r2_cumulative, res.objective_sse, "*" if lag == best else "")
             for lag, res in results)
     return ({"scan_lag.csv": ingest.csv_text(
@@ -160,11 +154,11 @@ def cmd_scan_lag(args) -> tuple[dict[str, str], str]:
 
 def cmd_scan_break(args) -> tuple[dict[str, str], str]:
     spec, data = _spec_and_data(args)
-    years, y = _parse_range(args.years), data.get(spec.response)
+    years, y = _span("break-year range", args.years), data.get(spec.response)
     # a break must fall inside the response's years; without a response the
     # scan fails before it reads a candidate
-    years = _clip(years, y.start_year, y.end_year) if y else ()
-    profile, best = estimate.scan_break(spec, data, candidate_years=years)
+    first, last = _overlap(years, (y.start_year, y.end_year)) if y else (0, -1)
+    profile, best = estimate.scan_break(spec, data, candidate_years=range(first, last + 1))
     rows = ((year, sse, "*" if year == best else "") for year, sse in profile)
     return ({"scan_break.csv": ingest.csv_text(("year", "sse", "best"), rows)},
             f"best break year: {best}")
@@ -188,20 +182,17 @@ def cmd_diagnose(args) -> tuple[dict[str, str], str]:
 
 
 def cmd_forecast(args) -> tuple[dict[str, str], str]:
-    formats = {name.strip() for name in (args.format or "csv,json").split(",")}
+    formats = set(_names(args.format or "csv,json"))
     unknown = sorted(formats - {"csv", "json", "svg"})
     if unknown:
         raise UsageError(f"unknown --format {unknown[0]!r}; use csv, json or svg")
     scenario = forecast.load_scenario(args.scenario)
-    models = []
-    for name in args.models.split(","):
-        name = name.strip()
-        if name not in forecast.MODEL_REGISTRY:
-            raise InputError(
-                f"unknown model {name!r}; registry has {sorted(forecast.MODEL_REGISTRY)}"
-            )
-        models.append(forecast.MODEL_REGISTRY[name])
-    report = forecast.forecast_report(models, scenario)
+    names = _names(args.models)
+    unknown = [name for name in names if name not in forecast.MODEL_REGISTRY]
+    if unknown:
+        raise InputError(f"unknown model {unknown[0]!r}; "
+                         f"registry has {sorted(forecast.MODEL_REGISTRY)}")
+    report = forecast.forecast_report([forecast.MODEL_REGISTRY[n] for n in names], scenario)
     artifacts = {}
     if "csv" in formats:
         artifacts["report.csv"] = forecast.report_to_csv(report)
@@ -222,7 +213,10 @@ def cmd_forecast(args) -> tuple[dict[str, str], str]:
 
 
 def cmd_plot(args) -> tuple[dict[str, str], str]:
-    names = [n.strip() for n in args.series.split(",")]
+    name = args.name or "chart.svg"
+    if Path(name).name != name or name == "..":
+        raise UsageError(f"--name {name!r} must be a bare file name")
+    names = _names(args.series)
     if args.mode == "scatter" and len(names) != 2:
         raise InputError("scatter mode needs exactly two series (x then y)")
     if args.regression and args.mode != "scatter":
@@ -232,12 +226,12 @@ def cmd_plot(args) -> tuple[dict[str, str], str]:
     if missing:
         raise InputError(f"series not in manifest: {missing}")
     chosen = [data[n] for n in names]
-    w = _parse_window(args.window) if args.window else None
+    w = _span("window", args.window) if args.window is not None else None
     if w:  # clipped to each series, which it must overlap
-        for i, (name, s) in enumerate(zip(names, chosen)):
-            first, last = max(w[0], s.start_year), min(w[1], s.end_year)
+        for i, (series, s) in enumerate(zip(names, chosen)):
+            first, last = _overlap(w, (s.start_year, s.end_year))
             if first > last:
-                raise InputError(f"window {w[0]}:{w[1]} does not overlap series {name!r} "
+                raise InputError(f"window {w[0]}:{w[1]} does not overlap series {series!r} "
                                  f"({s.start_year}..{s.end_year})")
             chosen[i] = s.window(first, last)
     # rates are fractions shown in percent; a persons level is shown as is
@@ -252,13 +246,12 @@ def cmd_plot(args) -> tuple[dict[str, str], str]:
         doc = svg.scatter_chart(*chosen, style=style, regression=regression)
     else:
         doc = svg.line_chart(chosen, style=style)
-    name = args.name or "chart.svg"
     return {name: doc}, f"chart written to {args.out / name}"
 
 
 def cmd_fetch(args) -> tuple[dict[str, str], str]:
     manifest = _manifest(args)
-    names = [n.strip() for n in args.series.split(",")] if args.series else sorted(manifest)
+    names = _names(args.series) if args.series else sorted(manifest)
     # every name is checked before any is fetched
     for name in names:
         if name not in manifest:
@@ -298,12 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lag = sub.add_parser("scan-lag", help="exhaustive lag scan")
     add_spec_flags(p_lag)
-    p_lag.add_argument("--lags", default="-5:5", help="lag range A:B (default -5:5)")
+    p_lag.add_argument("--lags", default="-5:5",
+                       help="lag range A:B (default -5:5); a negative A is written --lags=-3:3")
     p_lag.set_defaults(func=cmd_scan_lag)
 
     p_brk = sub.add_parser("scan-break", help="exhaustive break-year scan")
     add_spec_flags(p_brk)
-    p_brk.add_argument("--years", required=True, help="candidate break years A:B")
+    p_brk.add_argument("--years", required=True,
+                       help="candidate break years A:B; a negative A is written --years=-3:3")
     p_brk.set_defaults(func=cmd_scan_break)
 
     p_diag = sub.add_parser("diagnose", help="fit plus residual diagnostics")

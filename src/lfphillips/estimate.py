@@ -57,7 +57,7 @@ from .diagnose import (
     t_pvalue,
 )
 from .errors import EstimationError, InputError
-from .ingest import json_int, json_object, json_str
+from .ingest import json_int, json_object, json_span, json_str
 from .series import AnnualSeries, align
 
 INTERCEPT = "intercept"
@@ -118,13 +118,7 @@ class LinkSpec:
         if self.break_year is not None:
             object.__setattr__(self, "break_year", json_int("break_year", self.break_year))
         if self.window is not None:
-            if not isinstance(self.window, (tuple, list)) or len(self.window) != 2:
-                raise InputError(f"window must be two years, got {self.window!r}")
-            window = (json_int("window year", self.window[0]),
-                      json_int("window year", self.window[1]))
-            if window[0] > window[1]:
-                raise InputError(f"empty window {window}")
-            object.__setattr__(self, "window", window)
+            object.__setattr__(self, "window", json_span("window", self.window))
 
     def with_lag(self, name: str, lag: int) -> "LinkSpec":
         preds = tuple(replace(p, lag=lag) if p.name == name else p for p in self.predictors)
@@ -229,17 +223,22 @@ def _param_labels(spec: LinkSpec, piecewise: bool) -> list[tuple[str, str, str |
     return out
 
 
+def _check_series(spec: LinkSpec, data: Mapping[str, AnnualSeries]) -> None:
+    """Refuse a spec whose response or a predictor is missing from ``data``."""
+    named = [("response", spec.response)] + [("predictor", p.name) for p in spec.predictors]
+    for role, name in named:
+        if name not in data:
+            raise InputError(f"{role} series {name!r} missing from data")
+
+
 def _aligned_sample(spec: LinkSpec, data: Mapping[str, AnnualSeries],
                     lags: Sequence[int] | None = None):
     """Response vector, per-predictor columns, and the common year window.
     ``lags``, one per predictor, replace the spec's own."""
-    if spec.response not in data:
-        raise InputError(f"response series {spec.response!r} missing from data")
+    _check_series(spec, data)
     pairs = [(data[spec.response], 0)]
-    for p, lag in zip(spec.predictors, lags or [p.lag for p in spec.predictors]):
-        if p.name not in data:
-            raise InputError(f"predictor series {p.name!r} missing from data")
-        pairs.append((data[p.name], lag))
+    pairs += ((data[p.name], lag)
+              for p, lag in zip(spec.predictors, lags or [p.lag for p in spec.predictors]))
     (yv, *xs), years = align(pairs, spec.window)
     return yv, {p.name: x for p, x in zip(spec.predictors, xs)}, years
 
@@ -500,6 +499,7 @@ def scan_lag(
         raise InputError(f"lag-scan predictor {name!r} is not in the spec {names}")
     criterion = "r2_cumulative" if spec.estimator == "cumulative" else "r2_annual"
     _check_shared(spec)
+    _check_series(spec, data)  # a missing series fails every lag alike
     lags = [json_int("lag", lag) for lag in lag_range]
     labels = _param_labels(spec, spec.break_year is not None)
     scanned = names.index(name)

@@ -37,8 +37,7 @@ def build_scenario(labor_force: AnnualSeries, horizon: tuple[int, int]) -> Scena
     becomes a labor-force path through ``ingest.participation_labor_force``
     first, as ``load_scenario`` does.
     """
-    if horizon[0] > horizon[1]:
-        raise InputError(f"bad horizon {horizon}")
+    horizon = ingest.json_span("horizon", horizon)
     if labor_force.start_year > horizon[0] - 1 or labor_force.end_year < horizon[1]:
         raise InputError(
             f"labor-force path {labor_force.start_year}..{labor_force.end_year} must cover "
@@ -232,10 +231,7 @@ def load_scenario(path) -> Scenario:
     ingest.json_object(f"scenario of a {source!r} source", doc,
                        ("horizon", source) + _SOURCE_KEYS[source],
                        ("participation",) if source == "population_csv" else ())
-    horizon = doc.get("horizon")
-    if not (isinstance(horizon, list) and len(horizon) == 2):
-        raise InputError(f"scenario 'horizon' must be two years, got {horizon!r}")
-    horizon = tuple(ingest.json_int("scenario 'horizon' year", year) for year in horizon)
+    horizon = ingest.json_span("scenario 'horizon'", doc.get("horizon"))
     if source != "linear":
         what = f"scenario {source!r}"
         kind = "labor-force" if source == "labor_force_csv" else "population"

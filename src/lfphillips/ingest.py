@@ -22,6 +22,8 @@ a forecast path carries the units of its model's response kind through it.
 Other modules read and write files only through this one: ``read_json``,
 ``json_object`` and the ``json_int``/``json_float``/``json_str`` field checks
 read every spec, scenario and manifest, and ``json_path`` every file they name.
+``json_span`` is the one span rule, two integer years first <= last, for a spec's
+``window``, a scenario's ``horizon`` and the CLI's ``--window``/``--lags``/``--years``.
 Every CSV or JSON artifact is ``csv_text`` or ``json_text`` (a series is
 ``series_csv``), and every file is written by ``write_atomic``: the CLI's
 artifacts by ``cli.main``, a fetched payload by ``fetch_payload``.
@@ -99,6 +101,16 @@ def json_int(what: str, value) -> int:
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
     raise InputError(f"{what} must be an integer, got {value!r}")
+
+
+def json_span(what: str, value) -> tuple[int, int]:
+    """``value`` as ``(first, last)``; InputError naming ``what`` if malformed or empty."""
+    if not isinstance(value, (tuple, list)) or len(value) != 2:
+        raise InputError(f"{what} must be two years, got {value!r}")
+    first, last = (json_int(f"{what} year", year) for year in value)
+    if first > last:
+        raise InputError(f"empty {what} {first}:{last}")
+    return first, last
 
 
 def json_float(what: str, value) -> float:

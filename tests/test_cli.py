@@ -1285,3 +1285,129 @@ class TestOneArtifactWriter:
 
     def test_only_main_writes_prints_and_creates_a_directory(self):
         assert self.owners() == {"write": {"main"}, "print": {"main"}, "mkdir": {"main"}}
+
+
+class TestOneSpanRule:
+    """Every span of years, given by a flag, a spec file, a scenario or a caller
+    of ``build_scenario``, is checked by ``ingest.json_span``: a reversed span is
+    empty, and a malformed one names the flag or field."""
+
+    # where a span is given, and the name that its errors carry
+    WHERE = {"--window": "window", "--lags": "lag range", "--years": "break-year range",
+             "spec": "window", "scenario": "scenario 'horizon'", "build_scenario": "horizon"}
+
+    @staticmethod
+    def outcome(tmp_path, capsys, where, span):
+        """The exit code and stderr of a span given at ``where``; ``span`` is the
+        flag's text or a JSON value. ``build_scenario`` gives 1 and the error line
+        of its InputError, as ``main`` prints it."""
+        if where == "build_scenario":
+            with pytest.raises(InputError) as exc:
+                forecast.build_scenario(AnnualSeries(2000, (1e6,) * 61, units="persons"),
+                                        horizon=span)
+            return 1, f"error: {exc.value}\n"
+        inline = ("--response", "cpi", "--predictor", "unemployment")
+        argv = {"--window": ("--window", span, "fit", *inline),
+                "--lags": ("scan-lag", *inline, f"--lags={span}"),
+                "--years": ("scan-break", *inline, f"--years={span}")}.get(where)
+        path = tmp_path / f"{where}.json"
+        if where == "spec":
+            path.write_text(json.dumps({"response": "cpi", "predictors": [{"name": "unemployment"}],
+                                        "window": span}))
+            argv = ("fit", "--spec", str(path))
+        elif where == "scenario":
+            path.write_text(json.dumps({"horizon": span, "linear": {
+                "start_year": 2000, "end_year": 2060, "start": 1e6, "end": 9e5}}))
+            argv = ("forecast", "--scenario", str(path))
+        manifest = () if where == "scenario" else ("--manifest", str(DATA_DIR / "manifest.json"))
+        code = run(*manifest, "--out", str(tmp_path / "o"), *argv)
+        assert not (tmp_path / "o").exists()
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", list(WHERE))
+    def test_reversed_span_is_empty(self, tmp_path, capsys, where):
+        span = "2010:2000" if where.startswith("--") else [2010, 2000]
+        assert self.outcome(tmp_path, capsys, where, span) == (
+            1, f"error: empty {self.WHERE[where]} 2010:2000\n")
+
+    @pytest.mark.parametrize("where", list(WHERE))
+    @pytest.mark.parametrize("text, value, message", [
+        ("2000", [2000], "{} must be two years, got "),
+        ("2000:2010:2020", [2000, 2010, 2020], "{} must be two years, got "),
+        ("", 2000, "{} must be two years, got "),
+        ("a:2000", ["a", 2000], "{} year must be an integer, got 'a'"),
+        ("2000:20x0", [2000, "20x0"], "{} year must be an integer, got '20x0'"),
+        ("1990.5:2000", [1990.5, 2000], "{} year must be an integer, got "),
+    ])
+    def test_malformed_span_names_its_flag_or_field(self, tmp_path, capsys, where, text, value,
+                                                    message):
+        span = text if where.startswith("--") else value
+        code, err = self.outcome(tmp_path, capsys, where, span)
+        assert code == 1
+        assert err.startswith("error: " + message.format(self.WHERE[where]))
+        assert "Traceback" not in err
+
+    def test_negative_start_is_given_with_an_equals_sign(self, tmp_path, capsys):
+        argv = ("--manifest", str(DATA_DIR / "manifest.json"), "--out", str(tmp_path / "o"),
+                "scan-lag", "--response", "cpi", "--predictor", "unemployment")
+        assert run(*argv, "--lags=-1:1") == 0
+        assert capsys.readouterr().out == "best lag: 0\n"
+        # argparse reads a value that starts with "-" as a flag
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--lags", "-1:1")
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, span", [("scan-lag", "--lags", " -3 : 3 "),
+                                                     ("scan-break", "--years", "1975 :1994")])
+    def test_spaces_around_a_year_are_read_as_int_reads_them(self, tmp_path, command, flag,
+                                                             span):
+        argv = ("--manifest", str(DATA_DIR / "manifest.json"), command,
+                "--response", "cpi", "--predictor", "unemployment")
+        assert run("--out", str(tmp_path / "a"), *argv, f"{flag}={span}") == 0
+        assert run("--out", str(tmp_path / "b"), *argv, f"{flag}={span.replace(' ', '')}") == 0
+        assert ({p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()}
+                == {p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()})
+
+
+class TestScanLagMissingSeries:
+    """A missing series fails every lag alike, so scan-lag names it as fit does."""
+
+    @pytest.mark.parametrize("response, predictor, message", [
+        ("cpi", "nope", "predictor series 'nope' missing from data"),
+        ("nope", "unemployment", "response series 'nope' missing from data"),
+    ])
+    def test_missing_series_is_named(self, tmp_path, capsys, response, predictor, message):
+        for command in ("fit", "scan-lag"):
+            assert run("--manifest", str(DATA_DIR / "manifest.json"), "--out",
+                       str(tmp_path / "o"), command, "--response", response, "--predictor",
+                       predictor, *(["--lags=-1:1"] if command == "scan-lag" else [])) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not (tmp_path / "o").exists()
+
+
+class TestPlotName:
+    """``plot --name`` is a file name inside --out, never a path."""
+
+    @pytest.mark.parametrize("name", ["sub/x.svg", "../escaped.svg", "..", ".", "x.svg/"])
+    def test_name_that_is_not_bare_is_a_usage_error(self, tmp_path, capsys, name):
+        out = tmp_path / "a" / "o"
+        # checked before the manifest is read: a missing manifest goes unread
+        for manifest in (DATA_DIR / "manifest.json", tmp_path / "missing.json"):
+            assert run("--manifest", str(manifest), "--out", str(out),
+                       "plot", "--series", "cpi", "--name", name) == 2
+            assert capsys.readouterr().err.startswith(
+                f"usage error: --name {name!r} must be a bare file name\n")
+        assert not (tmp_path / "a").exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_absolute_name_is_a_usage_error(self, tmp_path, capsys):
+        name = str(tmp_path / "abs.svg")
+        assert run("--manifest", str(DATA_DIR / "manifest.json"), "--out", str(tmp_path / "o"),
+                   "plot", "--series", "cpi", "--name", name) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bare_name_is_written_inside_out(self, tmp_path, capsys):
+        assert run("--manifest", str(DATA_DIR / "manifest.json"), "--out", str(tmp_path / "o"),
+                   "plot", "--series", "cpi", "--name", "..x.svg") == 0
+        assert [p.name for p in (tmp_path / "o").iterdir()] == ["..x.svg"]

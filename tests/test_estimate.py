@@ -990,3 +990,18 @@ class TestOneCandidatePath:
         assert users["_solve"] == {"_stack_curves"}
         retired = {"_fit_sample", "_break_error", "_lag_scores", "_break_sse", "_passes"}
         assert not retired & set(vars(estimate))
+
+
+class TestScanLagMissingSeries:
+    """A missing series fails every lag alike; scan_lag names it before it reads a lag."""
+
+    @pytest.mark.parametrize("present, message", [
+        ("y", "^predictor series 'x' missing from data$"),
+        ("x", "^response series 'y' missing from data$"),
+    ])
+    @pytest.mark.parametrize("lags", [range(-1, 2), [], ["not a lag"]])
+    def test_missing_series_is_named(self, present, message, lags):
+        x, y = generate(SynthSpec(intercept=0.0, slope=1.0, length=40, seed=1))
+        data = {"x": x, "y": y}
+        with pytest.raises(InputError, match=message):
+            scan_lag(single_spec(), {present: data[present]}, lags)
