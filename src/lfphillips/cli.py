@@ -6,8 +6,12 @@ Each ``cmd_*`` returns its artifacts (file name to text) and its summary line;
 are built and prints the line, so a failed command writes nothing and creates
 no --out. Inputs are never mutated. Exit codes: 0 success, 1 data/model
 error, 2 usage error. A global flag that the subcommand does not read is a
-usage error, not ignored, and so is an inline spec flag given with --spec. A
-data command checks the whole --manifest but reads only the series it names.
+usage error, not ignored, and so is an inline spec flag given with --spec and
+an empty --out, --format, --cache-dir or --name, which would otherwise read as
+absent. A data command checks the whole --manifest but reads only the series
+it names. This module imports only ``ingest`` and ``errors``; each command
+imports the modules that it runs (``estimate`` with ``diagnose``, ``forecast``,
+``svg``) itself.
 
 Model specs can be given as a JSON file (--spec, the canonical form, read
 by ``LinkSpec.from_dict`` and echoed into outputs by ``LinkSpec.to_dict``) or
@@ -22,10 +26,12 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from . import diagnose as diag
-from . import estimate, forecast, ingest, svg
+from . import ingest
 from .errors import LfphillipsError, InputError
-from .series import AnnualSeries
+
+# estimate, diagnose, forecast and svg are imported by the commands that run
+# them: each module costs start-up time (compiled when no bytecode is cached,
+# its dataclasses built), so a forecast loads no solver and a fit no chart code
 
 
 class UsageError(LfphillipsError):
@@ -44,16 +50,27 @@ _FLAG_READERS = {
 # the inline spec flags, which --spec replaces rather than amends
 _SPEC_FLAGS = ("--response", "--predictor", "--estimator", "--break-year", "--share")
 
+# the flags whose empty value would read as absent and so mean the default
+_NONEMPTY_FLAGS = ("--out", "--format", "--cache-dir", "--name")
+
+
+def _value(args, flag: str):
+    """The value of ``flag``; None when it is not given or not a flag of the subcommand."""
+    return getattr(args, flag[2:].replace("-", "_"), None)
+
 
 def _given(args, flag: str) -> bool:
-    return getattr(args, flag[2:].replace("-", "_")) is not None
+    return _value(args, flag) is not None
 
 
-def _check_global_flags(args) -> None:
+def _check_flags(args) -> None:
     for flag, readers in _FLAG_READERS.items():
         if _given(args, flag) and args.command not in readers:
             raise UsageError(f"{flag} has no effect on {args.command}; "
                              f"it is read by {', '.join(readers)}")
+    for flag in _NONEMPTY_FLAGS:
+        if _value(args, flag) == "":
+            raise UsageError(f"{flag} must not be empty")
 
 
 def _span(what: str, text: str) -> tuple[int, int]:
@@ -79,9 +96,11 @@ def _manifest(args) -> dict[str, ingest.ManifestEntry]:
     return ingest.load_manifest(args.manifest, cache=args.cache_dir)
 
 
-def _spec_and_data(args) -> tuple[estimate.LinkSpec, dict[str, AnnualSeries]]:
-    """The spec of --spec or the inline flags, and the series that it names;
-    the whole manifest is checked first."""
+def _spec_and_data(args) -> tuple:
+    """The ``estimate.LinkSpec`` of --spec or the inline flags, and the series
+    that it names; the whole manifest is checked first."""
+    from . import estimate
+
     if args.spec:
         for flag in _SPEC_FLAGS:
             if _given(args, flag):
@@ -113,7 +132,8 @@ def _spec_and_data(args) -> tuple[estimate.LinkSpec, dict[str, AnnualSeries]]:
     return spec, ingest.load_all(ingest.entries_for(manifest, names))
 
 
-def _fit_document(result: estimate.FitResult) -> dict:
+def _fit_document(result) -> dict:
+    """The JSON document of an ``estimate.FitResult``."""
     return {
         "spec": result.spec.to_dict(),
         "window": list(result.window),
@@ -130,6 +150,8 @@ def _fit_document(result: estimate.FitResult) -> dict:
 
 
 def cmd_fit(args) -> tuple[dict[str, str], str]:
+    from . import estimate
+
     spec, data = _spec_and_data(args)
     result = estimate.fit(spec, data)
     return ({"fit.json": ingest.json_text(_fit_document(result)),
@@ -138,6 +160,8 @@ def cmd_fit(args) -> tuple[dict[str, str], str]:
 
 
 def cmd_scan_lag(args) -> tuple[dict[str, str], str]:
+    from . import estimate
+
     spec, data = _spec_and_data(args)
     lags, y = _span("lag range", args.lags), data.get(spec.response)
     x = data.get(spec.predictors[0].name)
@@ -153,6 +177,8 @@ def cmd_scan_lag(args) -> tuple[dict[str, str], str]:
 
 
 def cmd_scan_break(args) -> tuple[dict[str, str], str]:
+    from . import estimate
+
     spec, data = _spec_and_data(args)
     years, y = _span("break-year range", args.years), data.get(spec.response)
     # a break must fall inside the response's years; without a response the
@@ -165,9 +191,11 @@ def cmd_scan_break(args) -> tuple[dict[str, str], str]:
 
 
 def cmd_diagnose(args) -> tuple[dict[str, str], str]:
+    from . import diagnose, estimate
+
     spec, data = _spec_and_data(args)
     result = estimate.fit(spec, data)
-    adf = diag.adf_test(result.residuals, lag_order=args.adf_lags)
+    adf = diagnose.adf_test(result.residuals, lag_order=args.adf_lags)
     doc = _fit_document(result)
     doc["adf"] = {
         "statistic": adf.statistic,
@@ -182,7 +210,9 @@ def cmd_diagnose(args) -> tuple[dict[str, str], str]:
 
 
 def cmd_forecast(args) -> tuple[dict[str, str], str]:
-    formats = set(_names(args.format or "csv,json"))
+    from . import forecast, svg
+
+    formats = set(_names("csv,json" if args.format is None else args.format))
     unknown = sorted(formats - {"csv", "json", "svg"})
     if unknown:
         raise UsageError(f"unknown --format {unknown[0]!r}; use csv, json or svg")
@@ -213,7 +243,9 @@ def cmd_forecast(args) -> tuple[dict[str, str], str]:
 
 
 def cmd_plot(args) -> tuple[dict[str, str], str]:
-    name = args.name or "chart.svg"
+    from . import svg
+
+    name = args.name
     if Path(name).name != name or name == "..":
         raise UsageError(f"--name {name!r} must be a bare file name")
     names = _names(args.series)
@@ -239,6 +271,8 @@ def cmd_plot(args) -> tuple[dict[str, str], str]:
     style = svg.ChartStyle(title=args.title or ",".join(names), percent_axis=percent)
     regression = None
     if args.regression:  # the OLS fit of y on x over the window
+        from . import estimate
+
         spec = estimate.LinkSpec(names[1], (estimate.Predictor(names[0]),), window=w)
         seg = estimate.fit(spec, data).segments[0]
         regression = (seg.intercept, seg.slopes[names[0]])
@@ -318,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--regression", action="store_true",
                         help="overlay an OLS line in scatter mode")
     p_plot.add_argument("--title", help="chart title")
-    p_plot.add_argument("--name", help="output file name (default chart.svg)")
+    p_plot.add_argument("--name", default="chart.svg", help="output file name (default chart.svg)")
     p_plot.set_defaults(func=cmd_plot)
 
     p_fetch = sub.add_parser("fetch", help="warm the cache for remote manifest entries")
@@ -334,8 +368,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_global_flags(args)
-        args.out = Path(args.out or "out")
+        _check_flags(args)
+        args.out = Path("out" if args.out is None else args.out)
         artifacts, message = args.func(args)
         if artifacts:  # every artifact is built before the first is written
             args.out.mkdir(parents=True, exist_ok=True)

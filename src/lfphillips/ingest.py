@@ -25,13 +25,15 @@ read every spec, scenario and manifest, and ``json_path`` every file they name.
 ``json_span`` is the one span rule, two integer years first <= last, for a spec's
 ``window``, a scenario's ``horizon`` and the CLI's ``--window``/``--lags``/``--years``.
 Every CSV or JSON artifact is ``csv_text`` or ``json_text`` (a series is
-``series_csv``), and every file is written by ``write_atomic``: the CLI's
+``series_csv``); ``json_text`` writes strict JSON, an undefined number as
+``null``. Every file is written by ``write_atomic``: the CLI's
 artifacts by ``cli.main``, a fetched payload by ``fetch_payload``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 from dataclasses import dataclass
@@ -406,5 +408,16 @@ def csv_text(header, rows) -> str:
 
 
 def json_text(doc) -> str:
-    """``doc`` as JSON text: sorted keys, a two-space indent, a final newline."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``doc`` as strict JSON text: sorted keys, a two-space indent, a final
+    newline, and ``null`` for an undefined number (NaN or infinite), which
+    RFC 8259 cannot spell."""
+    return json.dumps(_defined(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _defined(value):
+    """``value`` with every non-finite float in it, at any depth, as None."""
+    if isinstance(value, dict):
+        return {key: _defined(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_defined(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value

@@ -558,6 +558,82 @@ class TestImports:
         assert "lfphillips.ingest" in loaded
         assert loaded.isdisjoint({"urllib.request", "http.client", "ssl", "email"})
 
+    FIT = {"cli", "errors", "series", "ingest", "estimate", "diagnose"}
+    CHART = {"cli", "errors", "series", "ingest", "svg"}
+    # the package modules that each run loads: a command of JAPAN_CLI (its plot
+    # is a scatter with --regression), a line plot, or ``import lfphillips`` alone
+    MODULES = {"fit": FIT, "scan-lag": FIT, "scan-break": FIT, "diagnose": FIT,
+               "forecast": {"cli", "errors", "series", "ingest", "forecast", "svg"},
+               "line-plot": CHART, "plot": CHART | {"estimate", "diagnose"},
+               "import": set()}
+
+    @pytest.mark.parametrize("command", list(MODULES))
+    def test_each_command_loads_only_its_modules(self, tmp_path, command):
+        # a fresh interpreter: this test process has imported every module already
+        child = ("import json, sys\n"
+                 "import lfphillips\n"
+                 "code = 0\n"
+                 "if sys.argv[1:]:\n"
+                 "    from lfphillips import cli\n"
+                 "    code = cli.main(sys.argv[1:])\n"
+                 "print(json.dumps(sorted(sys.modules)))\n"
+                 "sys.exit(code)\n")
+        argv = [] if command == "import" else [
+            "--manifest", str(DATA_DIR / "manifest.json"), "--out", str(tmp_path),
+            *(["plot", "--series", "cpi"] if command == "line-plot" else JAPAN_CLI[command])]
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", child, *argv],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        package = {name for name in loaded if name.partition(".")[0] == "lfphillips"}
+        assert package == {"lfphillips", *(f"lfphillips.{name}" for name in self.MODULES[command])}
+
+
+class TestEmptyFlagValue:
+    """An empty flag value is a usage error naming the flag, not the flag's default."""
+
+    FIT = ["fit", "--response", "cpi", "--predictor", "unemployment"]
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--out", ["--out", "", *FIT]),
+        ("--format", ["--format", "", "forecast",
+                      "--scenario", str(DATA_DIR / "scenario_2005.json")]),
+        ("--name", ["plot", "--series", "cpi", "--name", ""]),
+        ("--cache-dir", ["--cache-dir", "", *FIT]),
+    ])
+    def test_is_a_usage_error(self, tmp_path, monkeypatch, capsys, flag, argv):
+        monkeypatch.chdir(tmp_path)
+        # refused before anything is read: a missing manifest goes unread
+        for manifest in (DATA_DIR / "manifest.json", tmp_path / "missing.json"):
+            assert run("--manifest", str(manifest), *argv) == 2
+            assert capsys.readouterr().err.startswith(f"usage error: {flag} must not be empty\n")
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestStrictJson:
+    def test_constant_response_writes_null(self, tmp_path):
+        # y is 0.01 every year, so its R^2 is undefined; RFC 8259 has no NaN
+        for name, value in (("x", lambda i: 0.001 * i * (i % 3 + 1)), ("y", lambda i: 0.01)):
+            rows = "".join(f"{1980 + i},{value(i)}\n" for i in range(20))
+            (tmp_path / f"{name}.csv").write_text("year,value\n" + rows)
+        (tmp_path / "manifest.json").write_text(json.dumps({"series": {
+            name: {"path": f"{name}.csv", "kind": "unemployment", "units": "fraction"}
+            for name in ("x", "y")}}))
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        out = tmp_path / "o"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run("--manifest", str(tmp_path / "manifest.json"), "--out", str(out),
+                       "fit", "--response", "y", "--predictor", "x") == 0
+        doc = json.loads((out / "fit.json").read_text(), parse_constant=refuse)
+        assert doc["r2_annual"] is None
+
 
 class TestForecast:
     def test_zero_growth_flat_at_intercepts(self, tmp_path):

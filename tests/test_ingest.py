@@ -4,10 +4,12 @@ import http.server
 import inspect
 import io
 import json
+import math
 import threading
 import urllib.request
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -375,6 +377,15 @@ class TestWriteAtomic:
         with pytest.raises(FileNotFoundError):
             ingest.write_atomic(tmp_path / "absent" / "a.csv", "x\n")
         assert list(tmp_path.iterdir()) == []
+
+
+class TestJsonText:
+    def test_undefined_number_is_null(self):
+        doc = {"a": float("nan"), "b": [math.inf, 1.5], "c": (-math.inf,), "d": np.float64("nan")}
+        assert ingest.json_text(doc) == (
+            '{\n  "a": null,\n  "b": [\n    null,\n    1.5\n  ],\n'
+            '  "c": [\n    null\n  ],\n  "d": null\n}\n')
+
 
 class TestParticipation:
     def test_zero_rate(self):
