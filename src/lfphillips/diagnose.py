@@ -6,15 +6,17 @@ up on strong fits come out without overflow. The unit-root test is an
 augmented Dickey-Fuller regression with a constant and no trend, judged
 against the published constant-only critical-value table.
 
-Every regression in the package is solved by ``least_squares_stack``: one
-batched R-only QR factorization of the augmented stack ``[X | y]``, whose R
-factors give the coefficients, the residual sum of squares, the rank test and
-the coefficient covariance without forming Q. A single regression is the
-stack of one. Its callers are ``estimate._solve`` (fits, scans and the chart
-overlay, which is a fit) and ``adf_test``. Both hand it stacks whose slices
-are column-major, the layout LAPACK's QR reads without a transposing copy;
-``adf_test`` writes its regression one row per column and passes the
-transpose.
+Every regression in the package is solved by ``least_squares_stack``: an
+R-only QR factorization of the augmented stack ``[X | y]``, whose R factors
+give the coefficients, the residual sum of squares, the rank test and the
+coefficient covariance without forming Q. A single regression is the stack
+of one, and LAPACK's dgeqrf factors it in place; a scan pass of several
+slices goes through numpy's batched R-only QR. Its callers are
+``estimate._solve`` (fits, scans and the chart overlay, which is a fit) and
+``adf_test``. Both hand it stacks whose slices are column-major, the layout
+LAPACK's QR reads without a transposing copy, and give up a stack of one that
+nothing reads again; ``adf_test`` writes its regression one row per column,
+passes the transpose, and lets the factorization overwrite it.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .errors import DomainError, EstimationError, InputError
 from .series import AnnualSeries
@@ -75,12 +78,19 @@ def least_squares_stack(Xy: np.ndarray, n: np.ndarray | None = None
     so is every slice with n < k, whose R has a zero diagonal entry. A rank
     deficient slice's outputs are meaningless. Raises EstimationError when
     F < k.
+
+    A stack of one, which is every fit and ADF regression and so every solve
+    whose F is unbounded, is factored by dgeqrf in place: when its slice is
+    a column-major, writeable float64 buffer, ``Xy`` is overwritten, and any
+    other slice is copied once.
+    A scan pass of several slices goes through the batched
+    ``np.linalg.qr(mode="r")`` and leaves ``Xy`` as it is.
     """
     Xy = np.asarray(Xy, dtype=float)
     frame, k = Xy.shape[-2], Xy.shape[-1] - 1
     if frame < k:
         raise EstimationError("degenerate design: zero-variance or collinear predictors")
-    r = np.linalg.qr(Xy, mode="r")
+    r = _qr_r_in_place(Xy[0])[None] if len(Xy) == 1 else np.linalg.qr(Xy, mode="r")
     r_x, qty = r[:, :k, :k], r[:, :k, k]
     diag = np.abs(np.diagonal(r_x, axis1=-2, axis2=-1))
     rows = max(frame, k) if n is None else np.maximum(n, k)
@@ -90,6 +100,30 @@ def least_squares_stack(Xy: np.ndarray, n: np.ndarray | None = None
     # zero rows leave R's corner at 0 in a slice with n == k
     rss = r[:, k, k] ** 2 if frame > k else np.zeros(len(r))
     return matvec(r_inv, qty), rss, r_inv, full_rank
+
+
+def _qr_r_in_place(Xy: np.ndarray) -> np.ndarray:
+    """``np.linalg.qr(Xy, mode="r")`` of one (F, k+1) matrix by LAPACK's dgeqrf,
+    which factors a column-major ``Xy`` in its own buffer and any other in one
+    copy. np.linalg.qr copies twice, and at a long series' F each copy maps
+    fresh pages. The workspace size is dgeqrf's own answer to a query, as in
+    numpy's gufunc, so the same blocked factorization runs on the same data."""
+    # the transpose's C order is the Fortran (F, k+1) matrix dgeqrf reads
+    a = np.require(Xy.T, float, ["C", "A", "W"])
+    tau, query = np.empty(min(a.shape)), np.empty(1)
+    _dgeqrf(a, tau, query, -1)
+    work = np.empty(max(1, len(a), int(query[0])))
+    _dgeqrf(a, tau, work, len(work))
+    return np.triu(a.T[:len(tau)])
+
+
+def _dgeqrf(a: np.ndarray, tau: np.ndarray, work: np.ndarray, lwork: int) -> None:
+    """dgeqrf on the C-order (n, m) buffer ``a``, the Fortran (m, n) matrix;
+    ``lwork`` -1 writes the workspace size it asks for to ``work[0]``."""
+    cols, rows = a.shape
+    info = lapack_lite.dgeqrf(rows, cols, a, max(1, rows), tau, work, lwork, 0)["info"]
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgeqrf returns {info}")
 
 
 def sample_rows(n: np.ndarray, frame: int) -> np.ndarray:
@@ -223,7 +257,8 @@ def adf_test(series: AnnualSeries, lag_order: int = 0) -> AdfResult:
     ds = np.diff(s)
     # rows are t = lag_order+1 .. len(ds)-1 in difference indexing; the
     # regression [1, s_t-1, ds_t-1 .. ds_t-p | ds_t] is written one row per
-    # column, so its transpose is the column-major stack LAPACK's QR reads
+    # column, so its transpose is the column-major stack LAPACK's QR reads;
+    # the kernel factors it in place
     n = len(ds) - lag_order
     k = lag_order + 2
     dof = n - k

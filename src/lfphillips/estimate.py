@@ -32,7 +32,11 @@ and the fit of that candidate are the same array.
 Design stacks are column-major in every slice: ``_design`` fills an
 (m, k+1, F) buffer one row per column and hands out its transposed view, and
 the cumulative estimator forms its reduced stack as (M' C')', so LAPACK's QR
-reads each slice without a transposing copy.
+reads each slice without a transposing copy. A fit is a stack of one, which
+the kernel factors in place by dgeqrf: the cumulative estimator hands over
+the reduced stack it built, and the OLS design is copied once, because the
+predictions read it again. A scan pass of several slices goes through the
+batched QR, which copies the stack itself.
 
 Only ``_param_labels`` spells the coefficient labels, and only
 ``LinkSpec.to_dict``/``from_dict`` know the spec JSON's fields; the checks of
@@ -349,7 +353,8 @@ def _solve(estimator: str, Xy: np.ndarray, n: np.ndarray | None = None):
     OLS), so the classical covariance is s^2 (N R^-1)(N R^-1)'.
     """
     if estimator != "cumulative":
-        return least_squares_stack(Xy, n)
+        # the kernel factors a stack of one in its buffer; _stack_curves reads the design again
+        return least_squares_stack(Xy.copy(order="K") if len(Xy) == 1 else Xy, n)
     # cumulate the rows of the transposed stack: with _design's column-major
     # slices they are contiguous, and so is the reduced stack built from them
     Ct, k = np.cumsum(np.swapaxes(Xy, -1, -2), axis=-1), Xy.shape[-1] - 1
@@ -367,7 +372,7 @@ def _solve(estimator: str, Xy: np.ndarray, n: np.ndarray | None = None):
         Ct *= sample_rows(n, Ct.shape[-1])[:, None]
     M = np.zeros((len(Ct), k + 1, k))
     M[:, :k, :-1], M[:, :k, -1], M[:, k, -1] = nullspace, -z0, 1.0
-    reduced = np.swapaxes(np.swapaxes(M, -1, -2) @ Ct, -1, -2)
+    reduced = np.swapaxes(np.swapaxes(M, -1, -2) @ Ct, -1, -2)  # the kernel's to overwrite
     w, rss, r_inv, full_rank = least_squares_stack(reduced, n)
     return z0 + matvec(nullspace, w), rss, nullspace @ r_inv, full_rank
 

@@ -11,6 +11,7 @@ is read and checked, and every report is written, through ``ingest``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -250,5 +251,8 @@ def load_scenario(path) -> Scenario:
         raise InputError("linear path needs end_year > start_year")
     n = y1 - y0
     values = tuple(v0 + (v1 - v0) * i / n for i in range(n + 1))
+    if not all(map(math.isfinite, values)):
+        raise InputError(f"scenario linear path from 'linear.start' {v0!r} "
+                         f"to 'linear.end' {v1!r} overflows a float")
     lf = AnnualSeries(y0, values, label="labor force", units="persons")
     return build_scenario(labor_force=lf, horizon=horizon)

@@ -116,10 +116,19 @@ def json_span(what: str, value) -> tuple[int, int]:
 
 
 def json_float(what: str, value) -> float:
-    """``value`` as a float; a bool or a string is no number."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    raise InputError(f"{what} must be a number, got {value!r}")
+    """``value`` as a finite float; a bool or a string is no number. Python's
+    json reads ``NaN``, ``Infinity`` and ``1e999``, and an integer may be too
+    large for a float: each is refused naming ``what``."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise InputError(f"{what} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        shown = value if isinstance(value, float) else "an integer too large for a float"
+        raise InputError(f"{what} must be a finite number, got {shown}")
+    return number
 
 
 def json_str(what: str, value) -> str:

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -21,3 +22,26 @@ def japan(japan_manifest):
 @pytest.fixture(scope="session")
 def japan_scenario_path():
     return DATA_DIR / "scenario_2005.json"
+
+
+@pytest.fixture
+def traced_peak():
+    """Peak bytes that ``tracemalloc`` sees a call add, measured on a second
+    call so that one-time set-up is not counted; numpy reports its array
+    buffers to it."""
+
+    def peak(call) -> int:
+        call()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
+    return peak

@@ -370,6 +370,31 @@ class TestMalformedJson:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("fields, message", [
+        ('"linear": {"start_year": 2010, "end_year": 2030, "start": NaN, "end": 6e7}',
+         "scenario 'linear.start' must be a finite number, got nan"),
+        ('"linear": {"start_year": 2010, "end_year": 2030, "start": 6e7, "end": Infinity}',
+         "scenario 'linear.end' must be a finite number, got inf"),
+        ('"linear": {"start_year": 2010, "end_year": 2030, "start": 1e999, "end": 6e7}',
+         "scenario 'linear.start' must be a finite number, got inf"),
+        ('"linear": {"start_year": 2010, "end_year": 2030, "start": 1' + "0" * 400
+         + ', "end": 6e7}',
+         "scenario 'linear.start' must be a finite number, got an integer too large for a float"),
+        ('"linear": {"start_year": 2010, "end_year": 2030, "start": 1e308, "end": -1e308}',
+         "scenario linear path from 'linear.start' 1e+308 to 'linear.end' -1e+308 "
+         "overflows a float"),
+        ('"population_csv": "pop.csv", "participation": NaN',
+         "scenario 'participation' must be a finite number, got nan"),
+    ])
+    def test_non_finite_scenario_number_is_named(self, tmp_path, capsys, fields, message):
+        (tmp_path / "pop.csv").write_text(
+            "year,value\n" + "".join(f"{y},{1e8}\n" for y in range(2010, 2031)))
+        spath = tmp_path / "s.json"
+        spath.write_text('{"horizon": [2011, 2030], ' + fields + "}")
+        assert run("--out", str(tmp_path / "o"), "forecast", "--scenario", str(spath)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_manifest_entry_that_is_a_number(self, tmp_path, capsys):
         mpath = tmp_path / "manifest.json"
         mpath.write_text(json.dumps({"series": {"u": 5}}))

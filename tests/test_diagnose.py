@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
+from lfphillips import diagnose
 from lfphillips.diagnose import (
     adf_test,
     df_critical_values,
@@ -179,6 +180,70 @@ class TestZeroPadding:
         np.testing.assert_allclose(X @ beta[0], y, rtol=0, atol=1e-12)
 
 
+def _qr_test_stack(frame, cols, layout, variant):
+    """A (1, F, k+1) stack of seeded columns after an intercept, its slice in
+    ``layout`` order, and its sample length n: the first ``frame // 2 + 1``
+    rows when ``variant`` is "padded" (zero past them), else None. A
+    "deficient" stack's last design column is twice its intercept, or zero
+    when the intercept is that column."""
+    rng = np.random.default_rng(100 * frame + 10 * cols + (layout == "column"))
+    Xy = rng.normal(size=(frame, cols))
+    Xy[:, 0] = 1.0
+    if variant == "deficient":
+        Xy[:, cols - 2] = 2.0 if cols > 2 else 0.0
+    n = None
+    if variant == "padded":
+        n = np.array([frame // 2 + 1])
+        Xy[n[0]:] = 0.0
+    return (np.asfortranarray(Xy) if layout == "column" else np.ascontiguousarray(Xy))[None], n
+
+
+class TestInPlaceQr:
+    """A stack of one is factored by lapack_lite's dgeqrf in its own buffer, a
+    stack of several by np.linalg.qr; both must give the same bits, on every
+    numpy this package supports."""
+
+    @pytest.mark.parametrize("variant", ["full", "padded", "deficient"])
+    @pytest.mark.parametrize("layout", ["column", "row"])
+    @pytest.mark.parametrize("cols", range(2, 9))
+    @pytest.mark.parametrize("frame", [6, 42, 4000])
+    def test_equals_the_batched_qr_bit_for_bit(self, frame, cols, layout, variant):
+        Xy, n = _qr_test_stack(frame, cols, layout, variant)
+        original = Xy.copy()
+        if frame < cols - 1:
+            with pytest.raises(EstimationError):
+                least_squares_stack(Xy, n)
+            return
+        r = np.linalg.qr(original, mode="r")
+        # a stack of two goes through np.linalg.qr, and its first slice is this stack
+        twice = least_squares_stack(np.concatenate([original, original]),
+                                    None if n is None else np.concatenate([n, n]))
+        got = least_squares_stack(Xy, n)
+        for name, have, want in zip(("beta", "rss", "R^-1", "full_rank"), got, twice):
+            np.testing.assert_array_equal(have[0], want[0], err_msg=name)
+        rows = frame if n is None else n[0]
+        assert got[3][0] == (variant != "deficient" and rows >= cols - 1)
+        if layout == "column":  # factored in place: R on the upper triangle
+            np.testing.assert_array_equal(np.triu(Xy[0, :len(r[0])]), r[0])
+        else:
+            np.testing.assert_array_equal(Xy, original)
+        np.testing.assert_array_equal(diagnose._qr_r_in_place(original[0]), r[0])
+
+    def test_read_only_stack_of_one_is_copied(self):
+        Xy, _ = _qr_test_stack(42, 4, "column", "full")
+        original = Xy.copy()
+        Xy.flags.writeable = False
+        for have, want in zip(least_squares_stack(Xy), least_squares_stack(original.copy())):
+            np.testing.assert_array_equal(have, want)
+        np.testing.assert_array_equal(Xy, original)
+
+    def test_stack_of_several_is_left_unchanged(self):
+        Xy = np.concatenate([_qr_test_stack(42, 4, "column", v)[0] for v in ("full", "padded")])
+        original = Xy.copy()
+        least_squares_stack(Xy, np.array([42, 22]))
+        np.testing.assert_array_equal(Xy, original)
+
+
 class TestTPvalue:
     def test_zero_statistic(self):
         assert t_pvalue(0.0, 10) == 1.0
@@ -301,6 +366,12 @@ class TestAdf:
         (beta,), (rss,), (r_inv,), _ = least_squares_stack(np.column_stack(cols + [y])[None])
         se = math.sqrt(float(rss) / (len(y) - len(cols))) * float(np.linalg.norm(r_inv[1]))
         assert adf_test(frac(vals), lag_order=lag_order).statistic == float(beta[1]) / se
+
+    def test_long_regression_is_factored_where_it_was_built(self, traced_peak):
+        """At n=4000 the regression is the working set: no copy of it is made."""
+        series = frac(np.cumsum(np.random.default_rng(21).normal(0, 1, 4000)))
+        regression = 7 * 3995 * 8  # [1, s_t-1, 4 lagged differences | ds_t], float64
+        assert traced_peak(lambda: adf_test(series, lag_order=4)) <= 1.25 * regression
 
     def test_statistic_matches_statsmodels(self):
         statsmodels = pytest.importorskip("statsmodels.tsa.stattools")

@@ -956,6 +956,20 @@ class TestNoQFormingSolve:
                 assert mode == "complete" and shape[-1] == 1 and shape[-2] <= 4, (shape, mode)
 
 
+class TestLongFitMemory:
+    @pytest.mark.parametrize("extra", [{}, {"break_year": 3000, "shared": ("intercept",)}])
+    def test_cumulative_fit_factors_its_reduced_stack_in_place(self, traced_peak, extra):
+        """At n=4000 a cumulative fit's working set stays under four copies of
+        its (F, k+1) stack [X | y]: the kernel factors the reduced stack where
+        the estimator built it."""
+        x, y = generate(SynthSpec(intercept=0.005, slope=1.2, break_year=3000,
+                                  post_intercept=0.005, post_slope=-0.8, noise_sigma=0.003,
+                                  length=4000, seed=5, start_year=1000))
+        spec = single_spec("cumulative", **extra)
+        stack = 4000 * (len(estimate._param_labels(spec, "break_year" in extra)) + 1) * 8
+        assert traced_peak(lambda: fit(spec, {"x": x, "y": y})) < 4 * stack
+
+
 class TestOneCandidatePath:
     """A fit, a lag scan and a break scan reach the solve only through the one
     candidate builder and the one scorer, so no scan grows a path of its own."""

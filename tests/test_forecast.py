@@ -211,6 +211,39 @@ class TestLoadScenario:
                                             "end_year": 2050.0}}))
         assert load_scenario(q) == load_scenario(p)
 
+    @pytest.mark.parametrize("start, end, message", [
+        ("NaN", "5.7e7", "scenario 'linear.start' must be a finite number, got nan"),
+        ("6.7e7", "Infinity", "scenario 'linear.end' must be a finite number, got inf"),
+        ("-Infinity", "5.7e7", "scenario 'linear.start' must be a finite number, got -inf"),
+        ("1e999", "5.7e7", "scenario 'linear.start' must be a finite number, got inf"),
+        # each end is finite, but the path between them is not
+        ("1e308", "-1e308", "scenario linear path from 'linear.start' 1e+308 "
+                            "to 'linear.end' -1e+308 overflows a float"),
+    ])
+    def test_non_finite_linear_path(self, tmp_path, start, end, message):
+        p = tmp_path / "s.json"
+        p.write_text('{"horizon": [2011, 2050], "linear": {"start_year": 2010, '
+                     f'"end_year": 2050, "start": {start}, "end": {end}}}}}')
+        with pytest.raises(InputError) as info:
+            load_scenario(p)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("rate", ["NaN", "Infinity"])
+    def test_non_finite_participation(self, tmp_path, rate):
+        (tmp_path / "pop.csv").write_text("year,value\n2010,128600\n2011,128500\n")
+        p = tmp_path / "s.json"
+        p.write_text('{"horizon": [2011, 2011], "population_csv": "pop.csv", '
+                     f'"units": "thousands", "participation": {rate}}}')
+        with pytest.raises(InputError, match="^scenario 'participation' must be a finite "
+                                             "number, got (nan|inf)$"):
+            load_scenario(p)
+
+    def test_largest_finite_path_loads(self, tmp_path):
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps({"horizon": [2011, 2012], "linear": {
+            "start_year": 2010, "end_year": 2012, "start": 1e308, "end": 1.5e308}}))
+        assert load_scenario(p).labor_force.values == (1e308, 1.25e308, 1.5e308)
+
     def test_missing_source(self, tmp_path):
         p = tmp_path / "s.json"
         p.write_text(json.dumps({"horizon": [2010, 2020]}))

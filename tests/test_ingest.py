@@ -387,6 +387,29 @@ class TestJsonText:
             '  "c": [\n    null\n  ],\n  "d": null\n}\n')
 
 
+class TestJsonFloat:
+    @pytest.mark.parametrize("value, shown", [
+        (float("nan"), "nan"),
+        (math.inf, "inf"),
+        (-math.inf, "-inf"),
+        (10 ** 400, "an integer too large for a float"),
+    ])
+    def test_non_finite_number_is_refused_by_name(self, value, shown):
+        with pytest.raises(InputError) as info:
+            ingest.json_float("rate", value)
+        assert str(info.value) == f"rate must be a finite number, got {shown}"
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_what_json_reads_as_non_finite(self, text):
+        with pytest.raises(InputError, match="^rate must be a finite number, got "):
+            ingest.json_float("rate", json.loads(text))
+
+    @pytest.mark.parametrize("value", [0, -3, 1e308, -1e308, 5e-324, np.float64(0.5)])
+    def test_finite_number_is_a_float(self, value):
+        got = ingest.json_float("rate", value)
+        assert type(got) is float and got == value
+
+
 class TestParticipation:
     def test_zero_rate(self):
         pop = AnnualSeries(2010, (1e6, 2e6), units="persons")
