@@ -28,6 +28,7 @@ import numpy as np
 from numpy.linalg import lapack_lite
 
 from .errors import DomainError, EstimationError, InputError
+from .ingest import json_int
 from .series import AnnualSeries
 
 _BETACF_TOL = 1e-10
@@ -176,25 +177,18 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _BETACF_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for aa in (even, odd):
+            d = 1.0 + aa * d
+            if abs(d) < _FPMIN:
+                d = _FPMIN
+            c = 1.0 + aa / c
+            if abs(c) < _FPMIN:
+                c = _FPMIN
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _BETACF_TOL:
             return h
     raise DomainError(f"incomplete beta failed to converge for a={a}, b={b}, x={x}")
@@ -247,6 +241,7 @@ def adf_test(series: AnnualSeries, lag_order: int = 0) -> AdfResult:
     ``lag_order`` lagged differences; the statistic is the t-ratio on the
     lagged level.
     """
+    lag_order = json_int("lag_order", lag_order)
     if lag_order < 0:
         raise InputError("lag_order must be >= 0")
     s = series.array

@@ -12,7 +12,13 @@ Two estimators share one design builder and one stacked solve:
 A structural break splits the window into two segments estimated in a single
 solve; any coefficient (including the intercept) can be declared shared
 across segments, which is how the printed piecewise models with a common
-intercept or slope arise.
+intercept or slope arise. With the cumulative estimator the predicted
+cumulative curve is continuous across the break, because cumulation runs over
+the whole window.
+
+``fit`` is the one fit: the estimator and the break year come from the spec.
+``ols_fit``, ``cumulative_fit`` and ``fit_piecewise`` are one-line adapters
+onto it that only the benchmark calls, by name; no package code calls them.
 
 A candidate is (predictor shifts, break year) on the spec's frame: a fit is
 one candidate, a lag scan varies one predictor's shift and a break scan the
@@ -124,6 +130,7 @@ class LinkSpec:
         if self.window is not None:
             object.__setattr__(self, "window", json_span("window", self.window))
 
+    # benchmark-only: perfbench/workloads.py shifts its scan specs with it
     def with_lag(self, name: str, lag: int) -> "LinkSpec":
         preds = tuple(replace(p, lag=lag) if p.name == name else p for p in self.predictors)
         return replace(self, predictors=preds)
@@ -396,8 +403,9 @@ def _segments_from_coefficients(spec, labels, beta, first, last):
     return tuple(segments)
 
 
-def _fit(spec: LinkSpec, data: Mapping[str, AnnualSeries]) -> FitResult:
-    """One fit: the candidate of the spec's own lags and break year, a stack of one."""
+def fit(spec: LinkSpec, data: Mapping[str, AnnualSeries]) -> FitResult:
+    """The fit of ``spec`` by its estimator, both segments in one solve when it
+    has a break year: the candidate of its own lags and break year, a stack of one."""
     _check_shared(spec)
     labels = _param_labels(spec, spec.break_year is not None)
     legal, dropped = _candidates(spec, data, labels, [tuple(p.lag for p in spec.predictors)],
@@ -434,46 +442,17 @@ def _fit(spec: LinkSpec, data: Mapping[str, AnnualSeries]) -> FitResult:
     )
 
 
+# benchmark-only adapters: perfbench traces these names; the package calls fit
 def ols_fit(spec: LinkSpec, data: Mapping[str, AnnualSeries]) -> FitResult:
-    """Annual least squares with classical standard errors and p-values."""
-    if spec.estimator != "ols":
-        spec = replace(spec, estimator="ols")
-    if spec.break_year is not None:
-        raise InputError("use fit_piecewise for specs with a break year")
-    return _fit(spec, data)
+    return fit(replace(spec, estimator="ols"), data)
 
 
 def cumulative_fit(spec: LinkSpec, data: Mapping[str, AnnualSeries]) -> FitResult:
-    """Endpoint-constrained least squares on cumulative curves.
-
-    The intercept-direction degree of freedom is absorbed by the constraint
-    that the predicted cumulative curve hits the observed final level, so the
-    annual residuals sum to zero over the window by construction.
-    """
-    if spec.estimator != "cumulative":
-        spec = replace(spec, estimator="cumulative")
-    if spec.break_year is not None:
-        raise InputError("use fit_piecewise for specs with a break year")
-    return _fit(spec, data)
+    return fit(replace(spec, estimator="cumulative"), data)
 
 
 def fit_piecewise(spec: LinkSpec, data: Mapping[str, AnnualSeries]) -> FitResult:
-    """Two-segment fit in a single solve honoring the sharing flags.
-
-    With the cumulative estimator the predicted cumulative curve is
-    continuous across the break because cumulation runs over the whole
-    window.
-    """
-    if spec.break_year is None:
-        raise InputError("fit_piecewise needs a break year")
-    return _fit(spec, data)
-
-
-def fit(spec: LinkSpec, data: Mapping[str, AnnualSeries]) -> FitResult:
-    """Dispatch on break presence; estimator comes from the spec."""
-    if spec.break_year is not None:
-        return fit_piecewise(spec, data)
-    return cumulative_fit(spec, data) if spec.estimator == "cumulative" else ols_fit(spec, data)
+    return fit(spec, data)
 
 
 def scan_lag(

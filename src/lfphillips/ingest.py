@@ -389,12 +389,8 @@ def participation_labor_force(population: AnnualSeries, rate: float) -> AnnualSe
         raise InputError(f"participation rate {rate} outside [0, 1]")
     if population.units != "persons":
         raise InputError(f"expected persons-level population, got units {population.units!r}")
-    return AnnualSeries(
-        population.start_year,
-        tuple(rate * v for v in population.values),
-        label=f"{population.label} x {rate}" if population.label else "labor force",
-        units="persons",
-    )
+    return population.scale(rate).relabel(
+        f"{population.label} x {rate}" if population.label else "labor force")
 
 
 def series_csv(s: AnnualSeries) -> str:
@@ -402,6 +398,7 @@ def series_csv(s: AnnualSeries) -> str:
     return csv_text(("year", "value"), zip(s.years, s.values))
 
 
+# benchmark-only: perfbench/layers.py traces it by name; the CLI writes series_csv text
 def write_csv_series(s: AnnualSeries, path) -> None:
     """Write ``s`` to ``path`` as ``series_csv`` text."""
     write_atomic(path, series_csv(s))

@@ -18,9 +18,7 @@ from lfphillips.cli import main as cli_main
 from lfphillips.estimate import (
     LinkSpec,
     Predictor,
-    cumulative_fit,
     fit,
-    ols_fit,
     scan_break,
 )
 from lfphillips.oracle import (
@@ -87,14 +85,13 @@ def test_criterion_2_estimators_match_oracles():
             data = {"x": x, "y": y}
             (ys, xs), _ = align([(y, 0), (x, 0)])
             # annual least squares vs explicit normal equations
-            r = ols_fit(LinkSpec("y", (Predictor("x"),)), data)
+            r = fit(LinkSpec("y", (Predictor("x"),)), data)
             beta = brute_force_ols(np.column_stack([np.ones(len(xs)), xs]),
                                    np.array(ys))
             assert r.segments[0].intercept == pytest.approx(beta[0], abs=1e-10)
             assert r.segments[0].slopes["x"] == pytest.approx(beta[1], abs=1e-10)
             # constrained cumulative solver vs exhaustive slope grid
-            rc = cumulative_fit(LinkSpec("y", (Predictor("x"),),
-                                         estimator="cumulative"), data)
+            rc = fit(LinkSpec("y", (Predictor("x"),), estimator="cumulative"), data)
             b_hat = rc.segments[0].slopes["x"]
             grid = np.arange(b_hat - 0.05, b_hat + 0.05 + grid_step / 2, grid_step)
             _, b_grid = brute_force_constrained(xs, ys, grid)

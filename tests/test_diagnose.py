@@ -327,6 +327,18 @@ class TestAdf:
         with pytest.raises(InputError):
             adf_test(frac([0.1, -0.2] * 5), lag_order=5)
 
+    @pytest.mark.parametrize("lag_order", [1.5, "2", True, None])
+    def test_lag_order_must_be_an_integer(self, lag_order):
+        s = frac(np.random.Generator(np.random.PCG64(4)).normal(0, 1, 100))
+        with pytest.raises(InputError, match="lag_order"):
+            adf_test(s, lag_order=lag_order)
+
+    def test_integral_float_lag_order_converts(self):
+        s = frac(np.random.Generator(np.random.PCG64(4)).normal(0, 1, 100))
+        res = adf_test(s, lag_order=2.0)
+        assert type(res.lag_order) is int
+        assert res == adf_test(s, lag_order=2)
+
     def test_decision_matches_critical_values(self):
         rng = np.random.Generator(np.random.PCG64(5))
         s = frac(np.cumsum(rng.normal(0, 1, 150)))

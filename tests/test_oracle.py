@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lfphillips.errors import EstimationError, InputError
-from lfphillips.estimate import LinkSpec, Predictor, cumulative_fit, ols_fit
+from lfphillips.estimate import LinkSpec, Predictor, fit
 from lfphillips.oracle import (
     GROWTH_BOUND,
     SynthSpec,
@@ -54,7 +54,7 @@ class TestGenerate:
             x, y = generate(SynthSpec(intercept=0.0007, slope=1.31, noise_sigma=0.002,
                                       length=40, seed=seed))
             spec = LinkSpec("y", (Predictor("x"),), estimator="cumulative")
-            r = cumulative_fit(spec, {"x": x, "y": y})
+            r = fit(spec, {"x": x, "y": y})
             slopes.append(r.segments[0].slopes["x"])
         assert np.mean(slopes) == pytest.approx(1.31, abs=0.05)
 
@@ -73,7 +73,7 @@ class TestBruteForceOls:
     def test_agrees_with_main_estimator(self):
         x, y = generate(SynthSpec(intercept=0.02, slope=-0.8, noise_sigma=0.004,
                                   length=45, seed=33))
-        r = ols_fit(LinkSpec("y", (Predictor("x"),)), {"x": x, "y": y})
+        r = fit(LinkSpec("y", (Predictor("x"),)), {"x": x, "y": y})
         (ys, xs), _ = align([(y, 0), (x, 0)])
         beta = brute_force_ols(np.column_stack([np.ones(len(xs)), xs]), np.array(ys))
         assert r.segments[0].intercept == pytest.approx(beta[0], abs=1e-10)
@@ -114,9 +114,8 @@ class TestEstimatorsAgreeNoiseFree:
         x, y = generate(SynthSpec(intercept=0.005, slope=1.7, length=35, seed=seed))
         data = {"x": x, "y": y}
         spec = LinkSpec("y", (Predictor("x"),))
-        r_ols = ols_fit(spec, data)
-        r_cum = cumulative_fit(LinkSpec("y", (Predictor("x"),), estimator="cumulative"),
-                               data)
+        r_ols = fit(spec, data)
+        r_cum = fit(LinkSpec("y", (Predictor("x"),), estimator="cumulative"), data)
         (ys, xs), _ = align([(y, 0), (x, 0)])
         b_ne = brute_force_ols(np.column_stack([np.ones(len(xs)), xs]), np.array(ys))
         a_gr, b_gr = brute_force_constrained(xs, ys, np.arange(1.6, 1.8, 0.0005))
