@@ -6,17 +6,19 @@ up on strong fits come out without overflow. The unit-root test is an
 augmented Dickey-Fuller regression with a constant and no trend, judged
 against the published constant-only critical-value table.
 
-Every regression in the package is solved by ``least_squares_stack``: an
-R-only QR factorization of the augmented stack ``[X | y]``, whose R factors
-give the coefficients, the residual sum of squares, the rank test and the
-coefficient covariance without forming Q. A single regression is the stack
-of one, and LAPACK's dgeqrf factors it in place; a scan pass of several
-slices goes through numpy's batched R-only QR. Its callers are
-``estimate._solve`` (fits, scans and the chart overlay, which is a fit) and
-``adf_test``. Both hand it stacks whose slices are column-major, the layout
-LAPACK's QR reads without a transposing copy, and give up a stack of one that
-nothing reads again; ``adf_test`` writes its regression one row per column,
-passes the transpose, and lets the factorization overwrite it.
+Every regression in the package is factored by ``factor_stack``: an R-only
+QR factorization of the augmented stack ``[X | y]``. Its R factors hold the
+residual sum of squares (the square of R's corner entry) and the rank test
+without forming Q; ``least_squares_stack`` reads the coefficients and the
+coefficient covariance off the same R. A single regression is the stack of
+one, and LAPACK's dgeqrf factors it in place; a scan pass of several slices
+goes through numpy's batched R-only QR. ``least_squares_stack``'s callers are
+``estimate._solve`` (fits, lag scans and the chart overlay, which is a fit)
+and ``adf_test``; a break scan, which ranks years by SSE alone, stops at
+``factor_stack``. All of them hand over stacks whose slices are column-major,
+the layout LAPACK's QR reads without a transposing copy, and give up a stack
+of one that nothing reads again; ``adf_test`` writes its regression one row
+per column, passes the transpose, and lets the factorization overwrite it.
 """
 
 from __future__ import annotations
@@ -62,23 +64,22 @@ def residual_sigma_values(residuals: np.ndarray) -> float:
     return float(np.sqrt(np.mean((residuals - residuals.mean()) ** 2)))
 
 
-def least_squares_stack(Xy: np.ndarray, n: np.ndarray | None = None
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Minimize ||X_i beta_i - y_i|| for every slice of an (m, F, k+1) stack ``[X | y]``.
+def factor_stack(Xy: np.ndarray, n: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """R-only QR of every slice of an (m, F, k+1) stack ``[X | y]``: all that
+    least squares on the slice reads, without forming Q or solving.
 
-    One batched R-only QR of the stack solves every slice without forming Q:
-    the leading k x k block of R is R of X, the column beside it is Q'y and
-    the entry below that is +-||y - X beta||. Returns ``(beta, rss, R^-1,
-    full_rank)`` of shapes (m, k), (m,), (m, k, k) and (m,); rss is 0 when
-    n == k. ``R^-1 R^-T = (X'X)^-1``, so the classical covariance is s^2 R^-1 R^-T.
+    The leading k x k block of each R is R of X, the column beside it is Q'y
+    and the entry below that is +-||y - X beta||. Returns ``(R, rss,
+    full_rank)``: R of shape (m, min(F, k+1), k+1), and rss, the square of R's
+    corner entry (0 when F == k), and the rank test, each of shape (m,).
 
     ``n`` (m,) counts the rows of each slice's sample, the first n of the F
     rows; the rows past it must be zero, which leaves R as it is. None: every
     slice has F rows. A slice is rank deficient when min|diag R| <= max(n, k)
     * eps * max|diag R|, numpy's default rank tolerance at the slice's own n;
     so is every slice with n < k, whose R has a zero diagonal entry. A rank
-    deficient slice's outputs are meaningless. Raises EstimationError when
-    F < k.
+    deficient slice's rss is meaningless. Raises EstimationError when F < k.
 
     A stack of one, which is every fit and ADF regression and so every solve
     whose F is unbounded, is factored by dgeqrf in place: when its slice is
@@ -92,15 +93,30 @@ def least_squares_stack(Xy: np.ndarray, n: np.ndarray | None = None
     if frame < k:
         raise EstimationError("degenerate design: zero-variance or collinear predictors")
     r = _qr_r_in_place(Xy[0])[None] if len(Xy) == 1 else np.linalg.qr(Xy, mode="r")
-    r_x, qty = r[:, :k, :k], r[:, :k, k]
-    diag = np.abs(np.diagonal(r_x, axis1=-2, axis2=-1))
+    diag = np.abs(np.diagonal(r[:, :k, :k], axis1=-2, axis2=-1))
     rows = max(frame, k) if n is None else np.maximum(n, k)
     full_rank = diag.min(axis=-1) > rows * np.finfo(float).eps * diag.max(axis=-1)
-    # rank-deficient slices invert I instead, so one singular R cannot fail the stack
-    r_inv = np.linalg.inv(np.where(full_rank[:, None, None], r_x, np.eye(k)))
     # zero rows leave R's corner at 0 in a slice with n == k
     rss = r[:, k, k] ** 2 if frame > k else np.zeros(len(r))
-    return matvec(r_inv, qty), rss, r_inv, full_rank
+    return r, rss, full_rank
+
+
+def least_squares_stack(Xy: np.ndarray, n: np.ndarray | None = None
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Minimize ||X_i beta_i - y_i|| for every slice of an (m, F, k+1) stack
+    ``[X | y]``, read off ``factor_stack``'s R: beta = R_x^-1 Q'y.
+
+    Returns ``(beta, rss, R^-1, full_rank)`` of shapes (m, k), (m,), (m, k, k)
+    and (m,); rss and full_rank are ``factor_stack``'s, and so are ``n``, the
+    rank test and what happens to ``Xy``. ``R^-1 R^-T = (X'X)^-1``, so the
+    classical covariance is s^2 R^-1 R^-T. A rank deficient slice's outputs
+    are meaningless.
+    """
+    r, rss, full_rank = factor_stack(Xy, n)
+    k = r.shape[-1] - 1
+    # rank-deficient slices invert I instead, so one singular R cannot fail the stack
+    r_inv = np.linalg.inv(np.where(full_rank[:, None, None], r[:, :k, :k], np.eye(k)))
+    return matvec(r_inv, r[:, :k, k]), rss, r_inv, full_rank
 
 
 def _qr_r_in_place(Xy: np.ndarray) -> np.ndarray:

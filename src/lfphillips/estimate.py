@@ -23,11 +23,22 @@ onto it that only the benchmark calls, by name; no package code calls them.
 A candidate is (predictor shifts, break year) on the spec's frame: a fit is
 one candidate, a lag scan varies one predictor's shift and a break scan the
 break year. One builder, ``_candidates``, checks every candidate as ``fit``
-does, aligning each distinct shift tuple once. One scorer, ``_score``, solves
-the legal ones as slices of stacked passes through ``_stack_curves``, the one
-caller of ``_solve`` and so of the kernel. Each caller keeps what it ranks: a
-fit everything off its stack of one, a lag scan each lag's SSEs and R^2
-(``LagScore``), a break scan each objective SSE.
+does, aligning each distinct shift tuple once. One scorer, ``_score``, builds
+the legal ones as slices of stacked passes ``[X | y]``, and each caller
+hands it the step that finishes a pass as far as what it ranks needs. A fit
+(everything off its stack of one) and a lag scan (each lag's SSEs and R^2,
+``LagScore``) finish through ``_stack_curves``: ``_solve`` reduces the stack
+(``_reduce``), solves it with ``least_squares_stack`` and lifts the solution
+back to the coefficients; the predictions and both curves follow. A break
+scan ranks years by the objective SSE alone, so its ``_factor`` reduces
+each pass and stops at the kernel's factor step, ``factor_stack``: no
+R^-1, coefficients, predictions or curves per candidate.
+
+For every solve the estimator's own SSE (``objective_sse``: the annual SSE
+for OLS, the cumulative one for the cumulative estimator) is the kernel's
+rss, the square of R's corner entry, so a scan's SSE and the fit of that
+candidate are the same number to the bit. The other SSE and both R^2 are
+computed from the annual and cumulative curves.
 
 The frame is the response's years inside the window, F rows whatever the
 lags or the break year. A sample of n <= F years fills its first n rows; the
@@ -40,9 +51,9 @@ Design stacks are column-major in every slice: ``_design`` fills an
 the cumulative estimator forms its reduced stack as (M' C')', so LAPACK's QR
 reads each slice without a transposing copy. A fit is a stack of one, which
 the kernel factors in place by dgeqrf: the cumulative estimator hands over
-the reduced stack it built, and the OLS design is copied once, because the
-predictions read it again. A scan pass of several slices goes through the
-batched QR, which copies the stack itself.
+the reduced stack it built, and the OLS design is copied once, because a
+fit's predictions read it again. A scan pass of several slices goes through
+the batched QR, which copies the stack itself.
 
 Only ``_param_labels`` spells the coefficient labels, and only
 ``LinkSpec.to_dict``/``from_dict`` know the spec JSON's fields; the checks of
@@ -59,6 +70,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .diagnose import (
+    factor_stack,
     least_squares_stack,
     matvec,
     r_squared_stack,
@@ -178,6 +190,12 @@ class SegmentCoefficients:
 
 @dataclass(frozen=True)
 class FitResult:
+    """One fit. Of its two SSEs, the estimator's own (``objective_sse``:
+    ``sse_annual`` for OLS, ``sse_cumulative`` for the cumulative estimator)
+    is the kernel's rss, read off R; the other SSE and both R^2 are computed
+    from the annual and cumulative curves. ``sigma`` comes from the
+    residuals, and the standard errors from rss and R^-1."""
+
     spec: LinkSpec
     segments: tuple[SegmentCoefficients, ...]
     stderr: dict[str, float]
@@ -206,7 +224,9 @@ class FitResult:
 @dataclass(frozen=True)
 class LagScore:
     """What a lag scan ranks one lag by; each number equals the matching
-    attribute of ``fit`` at that lag."""
+    attribute of ``fit`` at that lag, and comes from where it does there:
+    the objective SSE is the kernel's rss, and the other SSE and both R^2
+    are computed from the curves."""
 
     estimator: str
     sse_annual: float
@@ -351,17 +371,22 @@ def _design(labels, cols: Mapping[str, np.ndarray], years: np.ndarray,
     return np.swapaxes(rows, -1, -2)
 
 
-def _solve(estimator: str, Xy: np.ndarray, n: np.ndarray | None = None):
-    """The estimator's least squares on every slice of an (m, F, k+1) stack
-    ``[X | y]`` whose slices hold samples of ``n`` rows (None: F rows each).
+def _reduce(estimator: str, Xy: np.ndarray, n: np.ndarray | None = None):
+    """The stack the kernel factors for the estimator's least squares on every
+    slice of an (m, F, k+1) stack ``[X | y]`` whose slices hold samples of
+    ``n`` rows (None: F rows each), and what ``_solve`` needs to lift its
+    solution back: ``(stack, lift)``.
 
-    Returns ``(beta, rss, N R^-1, full_rank)`` as ``least_squares_stack`` does,
-    rss on the estimator's own curves; N spans the free directions (N = I for
-    OLS), so the classical covariance is s^2 (N R^-1)(N R^-1)'.
+    For OLS the stack is ``[X | y]`` itself and ``lift`` is None. For the
+    cumulative estimator it is the cumulated stack with its endpoint
+    constraint eliminated, z = z0 + N w, and ``lift`` is ``(z0, N)``; N spans
+    the free directions. Either way the kernel's rss of the stack is the
+    estimator's own SSE: the annual one for OLS, the cumulative one for the
+    cumulative estimator.
     """
     if estimator != "cumulative":
         # the kernel factors a stack of one in its buffer; _stack_curves reads the design again
-        return least_squares_stack(Xy.copy(order="K") if len(Xy) == 1 else Xy, n)
+        return (Xy.copy(order="K") if len(Xy) == 1 else Xy), None
     # cumulate the rows of the transposed stack: with _design's column-major
     # slices they are contiguous, and so is the reduced stack built from them
     Ct, k = np.cumsum(np.swapaxes(Xy, -1, -2), axis=-1), Xy.shape[-1] - 1
@@ -380,7 +405,23 @@ def _solve(estimator: str, Xy: np.ndarray, n: np.ndarray | None = None):
     M = np.zeros((len(Ct), k + 1, k))
     M[:, :k, :-1], M[:, :k, -1], M[:, k, -1] = nullspace, -z0, 1.0
     reduced = np.swapaxes(np.swapaxes(M, -1, -2) @ Ct, -1, -2)  # the kernel's to overwrite
+    return reduced, (z0, nullspace)
+
+
+def _solve(estimator: str, Xy: np.ndarray, n: np.ndarray | None = None):
+    """The estimator's least squares on every slice of an (m, F, k+1) stack
+    ``[X | y]`` whose slices hold samples of ``n`` rows (None: F rows each).
+
+    Returns ``(beta, rss, N R^-1, full_rank)`` as ``least_squares_stack``
+    does for the ``_reduce``d stack, with beta = z0 + N w lifted back from
+    its solution w (N = I for OLS), so the classical covariance is
+    s^2 (N R^-1)(N R^-1)'.
+    """
+    reduced, lift = _reduce(estimator, Xy, n)
     w, rss, r_inv, full_rank = least_squares_stack(reduced, n)
+    if lift is None:
+        return w, rss, r_inv, full_rank
+    z0, nullspace = lift
     return z0 + matvec(nullspace, w), rss, nullspace @ r_inv, full_rank
 
 
@@ -413,7 +454,7 @@ def fit(spec: LinkSpec, data: Mapping[str, AnnualSeries]) -> FitResult:
     if dropped:
         raise dropped.popitem()[1]
     ((_, (yv, _, years, length)),) = legal
-    ((_, (solution, annual, cumulative), n),) = _score(spec, labels, legal)
+    ((_, (solution, annual, cumulative), n),) = _score(spec, labels, legal, _stack_curves)
     (beta,), (rss,), (r_inv,), (full_rank,) = solution
     if not full_rank:
         raise EstimationError("degenerate design: zero-variance or collinear predictors")
@@ -424,7 +465,7 @@ def fit(spec: LinkSpec, data: Mapping[str, AnnualSeries]) -> FitResult:
     resid = (yv - annual[1][0])[:length]
     first, last = int(years[0]), int(years[length - 1])
     sse_annual, sse_cumulative, r2_annual, r2_cumulative = (
-        float(v[0]) for v in _scores(annual, cumulative, n))
+        float(v[0]) for v in _scores(spec.estimator, solution[1], annual, cumulative, n))
     return FitResult(
         spec=spec,
         segments=_segments_from_coefficients(spec, labels, beta, first, last),
@@ -491,8 +532,9 @@ def scan_lag(
               for lag in lags]
     legal, _ = _candidates(spec, data, labels, shifts, [spec.break_year], drop_sample_errors=True)
     scores: dict[int, LagScore] = {}
-    for candidates, ((_, _, _, full_rank), annual, cumulative), n in _score(spec, labels, legal):
-        rows = zip(*_scores(annual, cumulative, n))
+    passes = _score(spec, labels, legal, _stack_curves)
+    for candidates, ((_, rss, _, full_rank), annual, cumulative), n in passes:
+        rows = zip(*_scores(spec.estimator, rss, annual, cumulative, n))
         scores.update((shift[scanned], LagScore(spec.estimator, *map(float, row)))
                       for (shift, _), row, ok in zip(candidates, rows, full_rank) if ok)
     results = [(lag, scores[lag]) for lag in lags if lag in scores]
@@ -503,11 +545,12 @@ def scan_lag(
     return results, best[0]
 
 
-def _scores(annual, cumulative, n):
-    """Annual and cumulative SSE, then annual and cumulative R^2, of the
-    (observed, predicted) curves of samples of ``n`` rows."""
-    return (_sse(*annual), _sse(*cumulative),
-            r_squared_stack(*annual, n), r_squared_stack(*cumulative, n))
+def _scores(estimator, rss, annual, cumulative, n):
+    """Annual and cumulative SSE, then annual and cumulative R^2, of samples
+    of ``n`` rows: the estimator's own SSE is the kernel's ``rss``, the rest
+    are computed from the (observed, predicted) curves."""
+    sse = (_sse(*annual), rss) if estimator == "cumulative" else (rss, _sse(*cumulative))
+    return (*sse, r_squared_stack(*annual, n), r_squared_stack(*cumulative, n))
 
 
 def _rank_value(criterion: float) -> float:
@@ -522,8 +565,11 @@ def scan_break(
 ) -> tuple[list[tuple[int, float]], int]:
     """Exhaustive piecewise fit over candidate break years, SSE only.
 
-    Each year is a candidate on the spec's one sample, aligned once; an
-    error of that sample is the scan's. Years ``fit`` would refuse, outside
+    Each year's SSE is the estimator's objective SSE, the kernel's rss read
+    off the R factor of that year's reduced stack, as its ``fit`` reads it;
+    no coefficient, prediction or curve is computed. Each year is a
+    candidate on the spec's one sample, aligned once; an error of that
+    sample is the scan's. Years ``fit`` would refuse, outside
     the window, under the segment floor or with a rank-deficient design, are
     dropped. Every year must be an integer, and each distinct one is solved
     once. Best year minimizes the estimator's total SSE; ties go to the
@@ -538,10 +584,8 @@ def scan_break(
     except EstimationError as exc:
         raise InputError(str(exc)) from exc
     sse: dict[int, float] = {}
-    for candidates, ((_, _, _, full_rank), annual, cumulative), _ in _score(spec, labels, legal):
-        objective = _sse(*(cumulative if spec.estimator == "cumulative" else annual))
-        sse.update((year, float(e)) for (_, year), e, ok in zip(candidates, objective, full_rank)
-                   if ok)
+    for candidates, (_, rss, full_rank), _ in _score(spec, labels, legal, _factor):
+        sse.update((year, float(e)) for (_, year), e, ok in zip(candidates, rss, full_rank) if ok)
     profile = [(year, sse[year]) for year in years if year in sse]
     if not profile:
         raise InputError("no candidate break year yields a legal piecewise fit")
@@ -549,13 +593,14 @@ def scan_break(
     return profile, best[0]
 
 
-def _score(spec: LinkSpec, labels, legal):
+def _score(spec: LinkSpec, labels, legal, finish):
     """The scorer: the builder's legal candidates as slices of the spec's
     frame, in stacked passes of at most ``_STACK_ENTRIES`` design entries.
-    Yields each pass's candidates, its ``_stack_curves`` output and its
-    sample lengths n (None when every sample fills the frame: nothing is
-    masked). A sample that every slice of a pass shares is broadcast, not
-    copied. Each caller keeps only what it ranks."""
+    Yields each pass's candidates, ``finish(estimator, Xy, y, n)`` of its
+    stack ``[X | y]``, and its sample lengths n (None when every sample
+    fills the frame: nothing is masked). A sample that every slice of a
+    pass shares is broadcast, not copied. Each caller's ``finish`` takes
+    the stack only as far as what it ranks needs."""
     rows = len(legal[0][1][0]) if legal else 1
     step = max(1, _STACK_ENTRIES // (rows * len(labels)))  # candidates per pass
     for i in range(0, len(legal), step):
@@ -567,7 +612,7 @@ def _score(spec: LinkSpec, labels, legal):
         cols = {p.name: _stacked([c[p.name] for c in cols]) for p in spec.predictors}
         n = None if min(lengths) == rows else np.array(lengths)
         Xy = _design(labels, cols, years, [year for _, year in candidates], yv, n)
-        yield candidates, _stack_curves(spec.estimator, Xy, yv, n), n
+        yield candidates, finish(spec.estimator, Xy, yv, n), n
 
 
 def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -587,6 +632,13 @@ def _stack_curves(estimator, Xy, yv, n=None):
         in_sample = sample_rows(n, Xy.shape[-2])
         cumulative = tuple(curve * in_sample for curve in cumulative)
     return solution, (yv, pred), cumulative
+
+
+def _factor(estimator, Xy, yv, n=None):
+    """``factor_stack``'s ``(R, rss, full_rank)`` of the ``_reduce``d stack
+    ``[X | y]``: the rss is the estimator's own SSE, all a break scan ranks
+    by, with no R^-1, coefficients, predictions or curves."""
+    return factor_stack(_reduce(estimator, Xy, n)[0], n)
 
 
 def predict(

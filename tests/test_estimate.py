@@ -359,13 +359,13 @@ class TestScanBreak:
         data = {"x": x, "y": y}
         spec = LinkSpec("y", (Predictor("x"),), estimator="cumulative")
         slices = []
-        real = estimate._solve
+        real = estimate._reduce
 
         def spy(estimator, Xy, n=None):
             slices.append(len(Xy))
             return real(estimator, Xy, n)
 
-        monkeypatch.setattr(estimate, "_solve", spy)
+        monkeypatch.setattr(estimate, "_reduce", spy)
         forward, _ = scan_break(spec, data, range(1990, 2000))
         years = [1995, 1990, 1995, 1850, 1990]
         repeated, best = scan_break(spec, data, years)
@@ -420,17 +420,85 @@ class TestScanBreak:
     def test_one_solve_per_break_scan(self, japan, monkeypatch):
         # every candidate is one slice of the one frame, cpi's 42 years
         shapes = []
-        real = estimate._solve
+        real = estimate._reduce
 
         def spy(estimator, Xy, n=None):
             shapes.append(Xy.shape)
             return real(estimator, Xy, n)
 
-        monkeypatch.setattr(estimate, "_solve", spy)
+        monkeypatch.setattr(estimate, "_reduce", spy)
         profile, _ = scan_break(LinkSpec("cpi", (Predictor("unemployment"),)), japan,
                                 range(1975, 1995))
         assert len(profile) == 19
         assert shapes == [(19, 42, 5)]
+
+    @pytest.mark.parametrize("estimator", ["ols", "cumulative"])
+    @pytest.mark.parametrize("shared", [(), ("intercept",)])
+    def test_builds_no_coefficients_or_curves(self, japan, monkeypatch, estimator, shared):
+        # a break scan ranks by SSE alone, which the factor holds: no R^-1,
+        # no coefficients and no predicted curves for any candidate
+        calls = []
+
+        def counting(name, real):
+            def spy(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv))
+        monkeypatch.setattr(estimate, "_stack_curves",
+                            counting("_stack_curves", estimate._stack_curves))
+        spec = LinkSpec("cpi", (Predictor("unemployment"),), estimator=estimator,
+                        shared=shared)
+        profile, best = scan_break(spec, japan, range(1975, 1995))
+        assert len(profile) == 19
+        assert calls == []
+        # the spies do see a fit of the best year build both
+        fit(replace(spec, break_year=best), japan)
+        assert calls == ["_stack_curves", "inv"]
+
+
+class TestObjectiveSseIsTheKernelsRss:
+    """A fit's objective SSE is the rss its kernel reads off R, to the bit,
+    not a sum over its curves, so a break scan that stops at the factor
+    reports the number ``fit`` does."""
+
+    @staticmethod
+    def fit_and_rss(monkeypatch, spec, data):
+        seen = []
+        real = estimate.least_squares_stack
+
+        def spy(Xy, n=None):
+            solution = real(Xy, n)
+            seen.append(solution[1])
+            return solution
+
+        monkeypatch.setattr(estimate, "least_squares_stack", spy)
+        result = fit(spec, data)
+        ((rss,),) = seen
+        return result, float(rss)
+
+    @pytest.mark.parametrize("estimator", ["ols", "cumulative"])
+    @pytest.mark.parametrize("lag", [0, -3])
+    @pytest.mark.parametrize("extra", [{}, {"break_year": 1995},
+                                       {"break_year": 1995, "shared": ("intercept",)}])
+    def test_synthetic(self, monkeypatch, estimator, lag, extra):
+        spec = single_spec(estimator, lag, **extra)
+        result, rss = self.fit_and_rss(monkeypatch, spec, ragged_data())
+        assert result.objective_sse == rss
+
+    @pytest.mark.parametrize("spec", [
+        LinkSpec("cpi", (Predictor("unemployment"),)),
+        LinkSpec("cpi", (Predictor("unemployment"),), estimator="cumulative"),
+        # these two differed from rss in their last digits when the SSE was
+        # summed over the curves
+        LinkSpec("dgdp", (Predictor("labor_force_growth"),), break_year=1982),
+        LinkSpec("unemployment", (Predictor("labor_force_growth"),), estimator="cumulative",
+                 break_year=1977, shared=("intercept",)),
+    ])
+    def test_japan(self, japan, monkeypatch, spec):
+        result, rss = self.fit_and_rss(monkeypatch, spec, japan)
+        assert result.objective_sse == rss
 
 
 class TestPredict:
@@ -839,7 +907,9 @@ class TestFrame:
 
 
     def test_kernel_stacks_are_zero_past_each_sample(self, monkeypatch):
-        real = estimate.least_squares_stack
+        from lfphillips import diagnose
+
+        real = diagnose.factor_stack
         padded = []
 
         def guarded(Xy, n=None):
@@ -849,7 +919,8 @@ class TestFrame:
                     assert not slice_[rows:].any(), "nonzero row past the sample"
             return real(Xy, n)
 
-        monkeypatch.setattr(estimate, "least_squares_stack", guarded)
+        monkeypatch.setattr(estimate, "factor_stack", guarded)
+        monkeypatch.setattr(diagnose, "factor_stack", guarded)
         data = ragged_data()
         for estimator in ("ols", "cumulative"):
             for extra in ({}, {"break_year": 1995, "shared": ("intercept",)}):
@@ -906,15 +977,15 @@ class TestColumnMajorStacks:
     def test_kernel_reads_only_column_major_stacks(self, monkeypatch):
         from lfphillips import diagnose
 
-        real = diagnose.least_squares_stack
+        real = diagnose.factor_stack
         seen = []
 
         def guarded(Xy, n=None):
             seen.append(all(slice_.flags.f_contiguous for slice_ in Xy))
             return real(Xy, n)
 
-        monkeypatch.setattr(estimate, "least_squares_stack", guarded)
-        monkeypatch.setattr(diagnose, "least_squares_stack", guarded)
+        monkeypatch.setattr(estimate, "factor_stack", guarded)
+        monkeypatch.setattr(diagnose, "factor_stack", guarded)
         data = ragged_data()
         for estimator in ("ols", "cumulative"):
             fit(single_spec(estimator), data)
@@ -989,7 +1060,7 @@ class TestOneCandidatePath:
 
     @pytest.mark.parametrize("name, owner", [
         ("_solve", "_stack_curves"),
-        ("_stack_curves", "_score"),
+        ("factor_stack", "_factor"),
         ("_aligned_sample", "_candidates"),
         ("_sample", "_candidates"),
     ])
@@ -1000,6 +1071,10 @@ class TestOneCandidatePath:
         users = self.users()
         assert users["_candidates"] == users["_score"] == {"fit", "scan_lag", "scan_break"}
         assert users["_solve"] == {"_stack_curves"}
+        # a break scan stops at the factor of the reduced stack
+        assert users["_stack_curves"] == {"fit", "scan_lag"}
+        assert users["_reduce"] == {"_solve", "_factor"}
+        assert users["_factor"] == {"scan_break"}
         retired = {"_fit_sample", "_break_error", "_lag_scores", "_break_sse", "_passes"}
         assert not retired & set(vars(estimate))
 
